@@ -51,9 +51,7 @@ fn bench_dist_ops(c: &mut Criterion) {
         let x = synthetic_dist(n, 1);
         let y = synthetic_dist(n, 2);
         // Twice-over-budget support to coarsen back down to n atoms —
-        // the capped series-parallel evaluator's steady state (the
-        // kernel is quadratic in the overshoot, so a realistic small
-        // overshoot is the representative load).
+        // the capped series-parallel evaluator's steady state.
         let wide = synthetic_dist(2 * n, 3);
 
         let mut g = c.benchmark_group(format!("dist_ops/{n}"));

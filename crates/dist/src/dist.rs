@@ -1,18 +1,17 @@
 //! Finite discrete distributions over `f64` values.
 
-/// Reusable scratch arena for the merge-based binary operations
-/// ([`DiscreteDist::convolve_with`] /
-/// [`DiscreteDist::max_independent_with`]).
+/// Reusable scratch arena for the distribution kernels
+/// ([`DiscreteDist::convolve_with`],
+/// [`DiscreteDist::max_independent_with`],
+/// [`DiscreteDist::reduce_support_in_place_with`]).
 ///
-/// Both operations combine an `n`-atom and an `m`-atom support into up
-/// to `n·m` result atoms. The historical implementation materialized
-/// all `n·m` pairs and sorted them (`O(nm log nm)` plus a second
-/// allocation); the merge-based kernels instead treat the cross product
-/// as `n` pre-sorted rows and k-way-merge them through a small binary
-/// heap of per-row cursors. The heap lives here so a caller evaluating
-/// thousands of series-parallel reductions (Dodin's forward pass, the
-/// SP engine) performs **zero** intermediate allocations after the
-/// first call: only the result vector of each operation is allocated.
+/// It holds the stream-merge heap of the binary operations and the
+/// support coarsening's lazy pair heap with its linked-list buffers,
+/// so a caller evaluating thousands of series-parallel reductions
+/// (Dodin's forward pass, the SP engine) performs **no** intermediate
+/// allocations after the first call: only the result vector of each
+/// convolution or maximum is allocated. The independent maximum of
+/// sorted supports needs no scratch at all.
 ///
 /// The arena is plain state — create one with [`DistScratch::new`] (or
 /// `Default`), hold it next to whatever long-lived evaluator owns the
@@ -21,8 +20,18 @@
 /// carry no information between calls.
 #[derive(Clone, Debug, Default)]
 pub struct DistScratch {
-    /// Min-heap of per-row merge cursors, keyed by `(value, row)`.
-    heap: Vec<RowCursor>,
+    /// Min-heap of row/column merge cursors, keyed by `(value, i, j)`.
+    cursors: Vec<PairCursor>,
+    /// Lazy-deletion min-heap of adjacent-pair merge costs.
+    pairs: Vec<PairCost>,
+    /// Doubly linked list over the surviving atoms of a coarsening
+    /// (`NONE` marks a missing neighbour).
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Per-atom stamp, bumped whenever the pair starting at that atom
+    /// changes or the atom is merged away; a heap entry with an older
+    /// stamp is stale.
+    stamp: Vec<u32>,
 }
 
 impl DistScratch {
@@ -32,48 +41,94 @@ impl DistScratch {
     }
 }
 
-/// One row of the implicit `n × m` operand cross product: the next
-/// not-yet-emitted element is `op(xs[row], ys[j])`, memoized in `v`.
+/// Missing linked-list neighbour.
+const NONE: u32 = u32::MAX;
+
+/// The next not-yet-emitted element `op(xs[i], ys[j])` of one row or
+/// column of a binary operation's `n × m` cross product.
 #[derive(Clone, Copy, Debug)]
-struct RowCursor {
+struct PairCursor {
     v: f64,
-    row: u32,
+    i: u32,
     j: u32,
 }
 
-impl RowCursor {
-    /// Heap order: smaller value first; ties broken by row index so the
-    /// merged stream reproduces the stable sort of the row-major pair
-    /// stream exactly (bit-identical accumulation order).
+impl PairCursor {
+    /// Smaller value first; equal values in row-major `(i, j)` order —
+    /// the order a stable sort of the row-major pair stream produces.
     #[inline]
-    fn before(&self, other: &RowCursor) -> bool {
+    fn before(&self, other: &PairCursor) -> bool {
         match self.v.total_cmp(&other.v) {
             std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Equal => self.row < other.row,
+            std::cmp::Ordering::Equal => (self.i, self.j) < (other.i, other.j),
             std::cmp::Ordering::Greater => false,
         }
     }
 }
 
+/// A candidate merge of the adjacent pair starting at atom `i`.
+#[derive(Clone, Copy, Debug)]
+struct PairCost {
+    cost: f64,
+    i: u32,
+    stamp: u32,
+}
+
+impl PairCost {
+    /// Cheaper first; equal costs by atom index, which is also the
+    /// position order of the surviving atoms. Costs are never NaN (see
+    /// [`merge_cost`]) and compare with `<`, like the original scan.
+    #[inline]
+    fn before(&self, other: &PairCost) -> bool {
+        self.cost < other.cost || (self.cost == other.cost && self.i < other.i)
+    }
+}
+
 /// Restore the min-heap property downward from `i`.
-fn sift_down(heap: &mut [RowCursor], mut i: usize) {
+fn sift_down<T>(heap: &mut [T], mut i: usize, before: impl Fn(&T, &T) -> bool) {
     loop {
         let l = 2 * i + 1;
         if l >= heap.len() {
             return;
         }
         let r = l + 1;
-        let child = if r < heap.len() && heap[r].before(&heap[l]) {
+        let child = if r < heap.len() && before(&heap[r], &heap[l]) {
             r
         } else {
             l
         };
-        if heap[child].before(&heap[i]) {
+        if before(&heap[child], &heap[i]) {
             heap.swap(child, i);
             i = child;
         } else {
             return;
         }
+    }
+}
+
+/// Restore the min-heap property upward from `i`.
+fn sift_up<T>(heap: &mut [T], mut i: usize, before: impl Fn(&T, &T) -> bool) {
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if !before(&heap[i], &heap[parent]) {
+            return;
+        }
+        heap.swap(i, parent);
+        i = parent;
+    }
+}
+
+/// Variance distortion of merging adjacent atoms `a` and `b` — the
+/// coarsening's greedy criterion. Costs that are not finite (NaN from
+/// `0·∞`, or an overflow) compare as `+∞`: the original linear scan
+/// (`cost < best` from `best = ∞`) never picks them over a finite cost.
+#[inline]
+fn merge_cost((v1, p1): (f64, f64), (v2, p2): (f64, f64)) -> f64 {
+    let cost = p1 * p2 / (p1 + p2) * (v2 - v1) * (v2 - v1);
+    if cost < f64::INFINITY {
+        cost
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -262,9 +317,24 @@ impl DiscreteDist {
 
     /// [`convolve`](DiscreteDist::convolve) over a caller-provided
     /// [`DistScratch`]: no intermediate allocations once the arena is
-    /// warm. Output is bit-identical to `convolve`.
+    /// warm.
+    ///
+    /// The result is the *row merge* of the sums: a k-way merge of the
+    /// `n` rows of the operand cross product (row `i` emits
+    /// `xᵢ + yⱼ` for `j = 0..m`), always taking the row head of least
+    /// `(value, i)`, with equal values folded left to right. For
+    /// sorted supports that is the stable sort of the row-major pairs.
+    /// When both supports are sorted and free of `-0.0` and `other` is
+    /// the shorter one, the merge runs over its `m` columns instead —
+    /// two streams for a two-state task duration. Column `j` is sorted
+    /// by the merge key `(value, i, j)` exactly like a row (`+` is
+    /// monotone), so a k-way merge of the columns emits the same pairs
+    /// in the same order and the fold performs the same additions, in
+    /// `O(nm log m)`.
     pub fn convolve_with(&self, other: &DiscreteDist, scratch: &mut DistScratch) -> DiscreteDist {
-        self.merge_op(other, scratch, |vx, vy| vx + vy)
+        let by_columns =
+            other.len() < self.len() && self.suits_fast_kernels() && other.suits_fast_kernels();
+        self.merge_op(other, scratch, |vx, vy| vx + vy, by_columns)
     }
 
     /// Distribution of `max(X, Y)` for independent `X`, `Y`.
@@ -273,37 +343,111 @@ impl DiscreteDist {
     }
 
     /// [`max_independent`](DiscreteDist::max_independent) over a
-    /// caller-provided [`DistScratch`]: no intermediate allocations once
-    /// the arena is warm. Output is bit-identical to `max_independent`.
+    /// caller-provided [`DistScratch`]. When both supports are sorted
+    /// and free of `-0.0` (the normal case) it needs no scratch and
+    /// allocates only its result; other operands take the row merge
+    /// described at [`convolve_with`](DiscreteDist::convolve_with),
+    /// with `max` in place of `+`.
+    ///
+    /// For sorted supports the row merge is the stable sort of the
+    /// row-major pairs `(max(xᵢ, yⱼ), pᵢ·qⱼ)`, folded left to right.
+    /// Every pair value is an operand atom, so the output support is
+    /// the sorted union of the two supports and has at most `n + m`
+    /// atoms. This kernel walks that union once. For each union value
+    /// `v` the sorted stream holds, in row order, first every row with
+    /// `xᵢ < v` paired with the `yⱼ = v` column, then every row with
+    /// `xᵢ = v` paired with its `yⱼ ≤ v` prefix in `j` order. Without
+    /// `-0.0`, distinct union values never compare equal, so each one
+    /// is a separate output atom, and summing its products in that
+    /// order from `0.0` performs the original additions (adding a zero
+    /// product is exact, just like skipping it). The result is
+    /// bit-identical in `O(n + m + pairs)` without any heap or `n·m`
+    /// buffer.
     pub fn max_independent_with(
         &self,
         other: &DiscreteDist,
         scratch: &mut DistScratch,
     ) -> DiscreteDist {
-        self.merge_op(other, scratch, |vx, vy| vx.max(vy))
+        if !(self.suits_fast_kernels() && other.suits_fast_kernels()) {
+            return self.merge_op(other, scratch, f64::max, false);
+        }
+        let xs = &self.atoms;
+        let ys = &other.atoms;
+        let mut out: Vec<(f64, f64)> = Vec::with_capacity(xs.len() + ys.len());
+        // `xs[..a]` and `ys[..b]` lie strictly below the next union value.
+        let (mut a, mut b) = (0usize, 0usize);
+        while a < xs.len() || b < ys.len() {
+            let v = match (xs.get(a), ys.get(b)) {
+                (Some(&(x, _)), Some(&(y, _))) if y.total_cmp(&x).is_lt() => y,
+                (Some(&(x, _)), _) => x,
+                (None, Some(&(y, _))) => y,
+                (None, None) => unreachable!(),
+            };
+            let at_v = |atoms: &[(f64, f64)]| {
+                atoms
+                    .iter()
+                    .take_while(|&&(w, _)| w.total_cmp(&v).is_eq())
+                    .count()
+            };
+            let a2 = a + at_v(&xs[a..]);
+            let b2 = b + at_v(&ys[b..]);
+            let mut acc = 0.0;
+            for &(_, px) in &xs[..a] {
+                for &(_, py) in &ys[b..b2] {
+                    acc += px * py;
+                }
+            }
+            for &(_, px) in &xs[a..a2] {
+                for &(_, py) in &ys[..b2] {
+                    acc += px * py;
+                }
+            }
+            if acc != 0.0 {
+                out.push((v, acc));
+            }
+            a = a2;
+            b = b2;
+        }
+        debug_assert!(!out.is_empty());
+        DiscreteDist { atoms: out }
     }
 
-    /// Sorted-merge accumulation over the operand cross product.
+    /// Whether the fast kernels may take this support: its values are
+    /// non-decreasing (`total_cmp`) and none is `-0.0`.
     ///
-    /// The historical kernel pushed all `n·m` pairs `(op(xᵢ, yⱼ),
-    /// pᵢ·qⱼ)` in row-major order, stable-sorted them by value
-    /// (`total_cmp`), and folded equal values left to right. Because
-    /// each operand support is strictly increasing and `op` is
-    /// monotone in its second argument, every row `i` of the cross
-    /// product is already non-decreasing in `j` — so a k-way merge of
-    /// the `n` rows through a min-heap keyed by `(value, row)` emits
-    /// the elements in exactly the stable-sorted order (row index
-    /// breaks value ties the way a stable sort of the row-major stream
-    /// does, and equal values within a row are consecutive). The same
-    /// skip-zeros/fold-equal accumulation over that stream therefore
-    /// performs the identical sequence of `f64` additions and yields a
-    /// bit-identical result in `O(nm log n)` with no intermediate
-    /// buffer.
+    /// Constructed supports are sorted, but support coarsening can
+    /// leave an atom one ulp past its neighbour when a weighted mean
+    /// rounds, and the results of operations on such a support inherit
+    /// the inversion. A `-0.0` atom next to a `0.0` one in the other
+    /// operand breaks the union walk's premise that `max(xᵢ, yⱼ)` is
+    /// the later operand in `total_cmp` order, since `f64::max` may
+    /// return either zero. Such operands take the row merge.
+    fn suits_fast_kernels(&self) -> bool {
+        let atoms = &self.atoms;
+        let sorted = atoms.windows(2).all(|w| w[0].0.total_cmp(&w[1].0).is_le());
+        let negative_zero = atoms.iter().any(|&(v, _)| v == 0.0 && v.is_sign_negative());
+        sorted && !negative_zero
+    }
+
+    /// The reference kernel of both binary operations: a k-way merge of
+    /// the `n` rows of the operand cross product, row `i` emitting
+    /// `(op(xᵢ, yⱼ), pᵢ·qⱼ)` for `j = 0..m` in order, always taking the
+    /// row head of least `(value, row)`, and folding the emitted stream
+    /// left to right: zero products are skipped and equal values are
+    /// summed into one atom. A single row or column is emitted in
+    /// row-major order directly.
+    ///
+    /// With sorted operands every row is sorted, so this emits the
+    /// stable sort by value of the row-major pair stream — the
+    /// original push-sort-fold kernel. With `by_columns` (only valid
+    /// for operands that suit the fast kernels) the `m` columns are
+    /// merged instead, under the same key `(value, i, j)`.
     fn merge_op(
         &self,
         other: &DiscreteDist,
         scratch: &mut DistScratch,
         op: impl Fn(f64, f64) -> f64,
+        by_columns: bool,
     ) -> DiscreteDist {
         let xs = &self.atoms;
         let ys = &other.atoms;
@@ -318,46 +462,40 @@ impl DiscreteDist {
                 _ => out.push((v, p)),
             }
         };
-        if n == 1 {
-            // One row: the row-major stream is already sorted.
-            let (vx, px) = xs[0];
-            for &(vy, py) in ys {
-                push(op(vx, vy), px * py, &mut out);
-            }
-        } else if m == 1 {
-            // One column: non-decreasing in the row index.
-            let (vy, py) = ys[0];
+        if n == 1 || m == 1 {
             for &(vx, px) in xs {
-                push(op(vx, vy), px * py, &mut out);
+                for &(vy, py) in ys {
+                    push(op(vx, vy), px * py, &mut out);
+                }
             }
         } else {
-            let heap = &mut scratch.heap;
+            let heap = &mut scratch.cursors;
             heap.clear();
-            heap.extend((0..n as u32).map(|row| RowCursor {
-                v: op(xs[row as usize].0, ys[0].0),
-                row,
-                j: 0,
-            }));
-            for i in (0..n / 2).rev() {
-                sift_down(heap, i);
+            let cursor = |i: usize, j: usize| PairCursor {
+                v: op(xs[i].0, ys[j].0),
+                i: i as u32,
+                j: j as u32,
+            };
+            if by_columns {
+                heap.extend((0..m).map(|j| cursor(0, j)));
+            } else {
+                heap.extend((0..n).map(|i| cursor(i, 0)));
             }
-            while let Some(&top) = heap.first() {
-                let px = xs[top.row as usize].1;
-                let py = ys[top.j as usize].1;
-                push(top.v, px * py, &mut out);
-                let j = top.j + 1;
-                if (j as usize) < m {
-                    heap[0].j = j;
-                    heap[0].v = op(xs[top.row as usize].0, ys[j as usize].0);
+            for k in (0..heap.len() / 2).rev() {
+                sift_down(heap, k, PairCursor::before);
+            }
+            // Rows advance `j`, columns advance `i`.
+            let (di, dj) = if by_columns { (1, 0) } else { (0, 1) };
+            while let Some(top) = heap.first_mut() {
+                let (i, j) = (top.i as usize, top.j as usize);
+                push(top.v, xs[i].1 * ys[j].1, &mut out);
+                let (i, j) = (i + di, j + dj);
+                if i < n && j < m {
+                    *top = cursor(i, j);
                 } else {
-                    let last = heap.pop().expect("heap is non-empty");
-                    if let Some(slot) = heap.first_mut() {
-                        *slot = last;
-                    } else {
-                        break;
-                    }
+                    heap.swap_remove(0);
                 }
-                sift_down(heap, 0);
+                sift_down(heap, 0, PairCursor::before);
             }
         }
         debug_assert!(!out.is_empty());
@@ -375,31 +513,101 @@ impl DiscreteDist {
         d
     }
 
-    /// In-place [`reduce_support`](DiscreteDist::reduce_support):
-    /// allocation-free, and in particular a plain length check when the
-    /// support is already within budget (the common case in capped
-    /// series-parallel evaluation).
+    /// In-place [`reduce_support`](DiscreteDist::reduce_support): a
+    /// plain length check when the support is already within budget
+    /// (the common case in capped series-parallel evaluation).
     pub fn reduce_support_in_place(&mut self, max_atoms: usize) {
+        self.reduce_support_in_place_with(max_atoms, &mut DistScratch::new());
+    }
+
+    /// [`reduce_support_in_place`](DiscreteDist::reduce_support_in_place)
+    /// over a caller-provided [`DistScratch`]: allocation-free once the
+    /// arena is warm.
+    ///
+    /// The reference semantics is the original quadratic loop: scan
+    /// every adjacent pair, merge the first one (lowest position) of
+    /// least cost — or position 0 when no cost is finite — and repeat.
+    /// This kernel keeps the surviving atoms in a linked list and the
+    /// pair costs in a lazy-deletion min-heap keyed by `(cost, atom
+    /// index)`. A merge keeps the left atom's index and drops the
+    /// right one, so index order is position order and the heap's
+    /// tie-break replays the scan's choice; non-finite costs are keyed
+    /// as `+∞`, so when nothing is finite the lowest surviving index
+    /// (position 0) wins as before. Every cost and merged atom is
+    /// computed by the original expressions from the same operands,
+    /// so the result is bit-identical in `O(n log n)`.
+    pub fn reduce_support_in_place_with(&mut self, max_atoms: usize, scratch: &mut DistScratch) {
         assert!(max_atoms >= 1, "need at least one atom");
         let atoms = &mut self.atoms;
-        while atoms.len() > max_atoms {
-            let mut best = 0usize;
-            let mut best_cost = f64::INFINITY;
-            for i in 0..atoms.len() - 1 {
-                let (v1, p1) = atoms[i];
-                let (v2, p2) = atoms[i + 1];
-                let cost = p1 * p2 / (p1 + p2) * (v2 - v1) * (v2 - v1);
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = i;
-                }
-            }
-            let (v1, p1) = atoms[best];
-            let (v2, p2) = atoms[best + 1];
-            let p = p1 + p2;
-            atoms[best] = ((p1 * v1 + p2 * v2) / p, p);
-            atoms.remove(best + 1);
+        let n = atoms.len();
+        if n <= max_atoms {
+            return;
         }
+        let DistScratch {
+            pairs: heap,
+            prev,
+            next,
+            stamp,
+            ..
+        } = scratch;
+        prev.clear();
+        prev.extend((0..n as u32).map(|i| i.wrapping_sub(1))); // 0 wraps to NONE
+        next.clear();
+        next.extend((1..=n as u32).map(|i| if i < n as u32 { i } else { NONE }));
+        stamp.clear();
+        stamp.resize(n, 0);
+        heap.clear();
+        heap.extend((0..n - 1).map(|i| PairCost {
+            cost: merge_cost(atoms[i], atoms[i + 1]),
+            i: i as u32,
+            stamp: 0,
+        }));
+        for k in (0..heap.len() / 2).rev() {
+            sift_down(heap, k, PairCost::before);
+        }
+        let mut len = n;
+        while len > max_atoms {
+            let top = heap.swap_remove(0);
+            sift_down(heap, 0, PairCost::before);
+            let i = top.i as usize;
+            if top.stamp != stamp[i] {
+                continue;
+            }
+            let j = next[i] as usize;
+            let (v1, p1) = atoms[i];
+            let (v2, p2) = atoms[j];
+            let p = p1 + p2;
+            atoms[i] = ((p1 * v1 + p2 * v2) / p, p);
+            stamp[j] += 1;
+            next[i] = next[j];
+            if next[j] != NONE {
+                prev[next[j] as usize] = i as u32;
+            }
+            len -= 1;
+            // The pairs starting at `i` and at its predecessor changed.
+            for k in [prev[i], i as u32] {
+                if k == NONE || next[k as usize] == NONE {
+                    continue;
+                }
+                let k = k as usize;
+                stamp[k] += 1;
+                heap.push(PairCost {
+                    cost: merge_cost(atoms[k], atoms[next[k] as usize]),
+                    i: k as u32,
+                    stamp: stamp[k],
+                });
+                let last = heap.len() - 1;
+                sift_up(heap, last, PairCost::before);
+            }
+        }
+        // Atom 0 always survives; the list runs in index order.
+        let (mut w, mut r) = (0, 0);
+        while r != NONE {
+            atoms[w] = atoms[r as usize];
+            w += 1;
+            r = next[r as usize];
+        }
+        atoms.truncate(w);
     }
 }
 
@@ -506,5 +714,84 @@ mod tests {
     #[should_panic(expected = "sum to")]
     fn bad_mass_rejected() {
         DiscreteDist::from_atoms(vec![(1.0, 0.5), (2.0, 0.2)]);
+    }
+
+    /// The row merge spelled out: repeatedly emit the row head of least
+    /// `(value, row)`, then fold as the kernels do.
+    fn naive_row_merge(
+        xs: &[(f64, f64)],
+        ys: &[(f64, f64)],
+        op: impl Fn(f64, f64) -> f64,
+    ) -> Vec<(u64, u64)> {
+        let mut heads = vec![0usize; xs.len()];
+        let mut out: Vec<(f64, f64)> = Vec::new();
+        loop {
+            let next = (0..xs.len())
+                .filter(|&i| heads[i] < ys.len())
+                .min_by(|&a, &b| {
+                    let va = op(xs[a].0, ys[heads[a]].0);
+                    let vb = op(xs[b].0, ys[heads[b]].0);
+                    va.total_cmp(&vb).then(a.cmp(&b))
+                });
+            let Some(i) = next else { break };
+            let j = heads[i];
+            heads[i] += 1;
+            let (v, p) = (op(xs[i].0, ys[j].0), xs[i].1 * ys[j].1);
+            if p == 0.0 {
+                continue;
+            }
+            match out.last_mut() {
+                Some(last) if last.0 == v => last.1 += p,
+                _ => out.push((v, p)),
+            }
+        }
+        out.iter()
+            .map(|&(v, p)| (v.to_bits(), p.to_bits()))
+            .collect()
+    }
+
+    fn bits(d: &DiscreteDist) -> Vec<(u64, u64)> {
+        d.atoms()
+            .iter()
+            .map(|&(v, p)| (v.to_bits(), p.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn unsorted_or_signed_zero_operands_follow_the_row_merge() {
+        // Coarsening can round a merged atom one ulp past its right
+        // neighbour; such supports must still combine exactly like the
+        // row merge, which the sorted-only fast paths would not.
+        let up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let inverted = DiscreteDist {
+            atoms: vec![(1.0, 0.25), (up(2.0), 0.25), (2.0, 0.25), (3.0, 0.25)],
+        };
+        let sorted = DiscreteDist::from_atoms(vec![(0.5, 0.3), (2.0, 0.3), (2.5, 0.4)]);
+        let two = DiscreteDist::from_atoms(vec![(1.0, 0.9), (up(1.0), 0.1)]);
+        // `max(-0.0, 0.0)` may return either zero, so a signed zero
+        // must take the row merge as well.
+        let neg_zero = DiscreteDist {
+            atoms: vec![(-0.0, 0.5), (1.0, 0.5)],
+        };
+        let zero = DiscreteDist::from_atoms(vec![(0.0, 0.5), (2.0, 0.5)]);
+        let mut scratch = DistScratch::new();
+        for (x, y) in [
+            (&inverted, &sorted),
+            (&sorted, &inverted),
+            (&inverted, &two),
+            (&two, &inverted),
+            (&neg_zero, &zero),
+            (&zero, &neg_zero),
+        ] {
+            let (xs, ys) = (x.atoms(), y.atoms());
+            assert_eq!(
+                bits(&x.max_independent_with(y, &mut scratch)),
+                naive_row_merge(xs, ys, f64::max)
+            );
+            assert_eq!(
+                bits(&x.convolve_with(y, &mut scratch)),
+                naive_row_merge(xs, ys, |a, b| a + b)
+            );
+        }
     }
 }

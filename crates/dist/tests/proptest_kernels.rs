@@ -1,12 +1,16 @@
-//! Bit-identity of the merge-based distribution kernels against the
-//! historical push-then-sort implementation.
+//! Bit-identity of the distribution kernels against the historical
+//! straightforward implementations.
 //!
 //! `convolve`/`max_independent` were rewritten from "materialize all
-//! n·m pairs, stable-sort, fold" into a k-way sorted merge over a
-//! reusable [`DistScratch`]. The contract is *bit*-identity — the same
-//! `f64` additions in the same order — so the reference implementation
-//! below reproduces the legacy kernel verbatim and every comparison is
-//! on raw bits, not within a tolerance.
+//! n·m pairs, stable-sort, fold" into a sorted stream merge (convolve)
+//! and a single walk of the union of the supports (max);
+//! `reduce_support` from a quadratic rescan with `Vec::remove` into a
+//! lazy-deletion heap over a linked list. The contract is *bit*-identity
+//! — the same `f64` operations in the same order — so the reference
+//! implementations below reproduce the legacy kernels verbatim and every
+//! comparison is on raw bits, not within a tolerance. (Supports that
+//! coarsening left one ulp out of order cannot be built through the
+//! public API; the unit tests in `src/dist.rs` cover those.)
 
 use proptest::prelude::*;
 use stochdag_dist::{DiscreteDist, DistScratch};
@@ -37,6 +41,32 @@ fn legacy_op(
         }
     }
     merged
+}
+
+/// The pre-rewrite coarsening: rescan every adjacent pair, merge the
+/// first one of least cost (pair 0 when no cost is finite), remove the
+/// right atom, repeat.
+fn legacy_reduce(d: &DiscreteDist, max_atoms: usize) -> Vec<(f64, f64)> {
+    let mut atoms = d.atoms().to_vec();
+    while atoms.len() > max_atoms {
+        let mut best = 0usize;
+        let mut best_cost = f64::INFINITY;
+        for i in 0..atoms.len() - 1 {
+            let (v1, p1) = atoms[i];
+            let (v2, p2) = atoms[i + 1];
+            let cost = p1 * p2 / (p1 + p2) * (v2 - v1) * (v2 - v1);
+            if cost < best_cost {
+                best_cost = cost;
+                best = i;
+            }
+        }
+        let (v1, p1) = atoms[best];
+        let (v2, p2) = atoms[best + 1];
+        let p = p1 + p2;
+        atoms[best] = ((p1 * v1 + p2 * v2) / p, p);
+        atoms.remove(best + 1);
+    }
+    atoms
 }
 
 fn assert_bits_eq(got: &DiscreteDist, want: &[(f64, f64)]) {
@@ -105,10 +135,116 @@ proptest! {
     }
 
     #[test]
+    fn reduce_support_matches_legacy_bit_for_bit(d in arb_dist(), cap in 1usize..8) {
+        let mut scratch = DistScratch::new();
+        let mut got = d.clone();
+        got.reduce_support_in_place_with(cap, &mut scratch);
+        assert_bits_eq(&got, &legacy_reduce(&d, cap));
+    }
+
+    #[test]
     fn reduce_support_in_place_matches_allocating(d in arb_dist(), cap in 1usize..8) {
         let reference = d.reduce_support(cap);
         let mut inplace = d.clone();
         inplace.reduce_support_in_place(cap);
         assert_bits_eq(&inplace, reference.atoms());
+    }
+}
+
+/// A distribution of `n` atoms on a coarse grid of `step`-spaced values
+/// with integer weights from a small range, so probabilities tie and
+/// cross-product values collide often. Deterministic in `seed`.
+fn grid_dist(n: usize, step: f64, seed: u64) -> DiscreteDist {
+    let mut state = seed;
+    let mut next = move |k: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % k
+    };
+    let mut v = next(4) as f64;
+    let mut atoms = Vec::with_capacity(n);
+    for _ in 0..n {
+        atoms.push((v * step, 1 + next(3)));
+        v += 1.0 + next(2) as f64;
+    }
+    let total: u64 = atoms.iter().map(|&(_, w)| w).sum();
+    DiscreteDist::from_sorted_atoms(
+        atoms
+            .into_iter()
+            .map(|(v, w)| (v, w as f64 / total as f64))
+            .collect(),
+    )
+}
+
+#[test]
+fn dodin_shaped_max_matches_legacy() {
+    let mut scratch = DistScratch::new();
+    for seed in 0..4 {
+        let x = grid_dist(128, 0.5, seed);
+        let y = grid_dist(128, 0.5, seed + 100);
+        let got = x.max_independent_with(&y, &mut scratch);
+        assert!(got.len() <= 256);
+        assert_bits_eq(&got, &legacy_op(&x, &y, |a, b| a.max(b)));
+    }
+}
+
+#[test]
+fn dodin_shaped_convolve_matches_legacy_in_both_orientations() {
+    let mut scratch = DistScratch::new();
+    for seed in 0..4 {
+        let wide = grid_dist(128, 0.25, seed);
+        // A two-state task duration on the same grid.
+        let two = grid_dist(2, 0.25, seed + 7);
+        let want = legacy_op(&wide, &two, |a, b| a + b);
+        assert_bits_eq(&wide.convolve_with(&two, &mut scratch), &want);
+        let want = legacy_op(&two, &wide, |a, b| a + b);
+        assert_bits_eq(&two.convolve_with(&wide, &mut scratch), &want);
+    }
+}
+
+#[test]
+fn dodin_shaped_reduce_matches_legacy() {
+    let mut scratch = DistScratch::new();
+    for seed in 0..4 {
+        // Equal weights on an evenly spaced grid: many exactly tied
+        // costs, so the tie-break decides every merge.
+        let d = grid_dist(256, 0.5, seed);
+        for cap in [128, 7, 2, 1] {
+            let mut got = d.clone();
+            got.reduce_support_in_place_with(cap, &mut scratch);
+            assert_bits_eq(&got, &legacy_reduce(&d, cap));
+        }
+    }
+}
+
+#[test]
+fn reduce_with_no_finite_cost_merges_pair_zero_like_legacy() {
+    // Gaps so large that `(v2 - v1)²` (or `v2 - v1` itself) overflows,
+    // next to masses so small that `p1·p2` underflows: every pair cost
+    // is `∞` or `0·∞ = NaN`, and the legacy scan falls back to pair 0.
+    let tiny = 1e-170;
+    let small = 1e-100;
+    let d = DiscreteDist::from_sorted_atoms(vec![
+        (-1.7e308, small),
+        (-1e308, tiny),
+        (1e308, tiny),
+        (1.5e308, 1.0 - 2.0 * small - 2.0 * tiny),
+        (1.7e308, small),
+    ]);
+    let costs: Vec<f64> = d
+        .atoms()
+        .windows(2)
+        .map(|w| {
+            let ((v1, p1), (v2, p2)) = (w[0], w[1]);
+            p1 * p2 / (p1 + p2) * (v2 - v1) * (v2 - v1)
+        })
+        .collect();
+    assert!(costs.iter().all(|c| !c.is_finite()), "{costs:?}");
+    assert!(costs.iter().any(|c| c.is_nan()), "{costs:?}");
+    for cap in [4, 3, 2, 1] {
+        let mut got = d.clone();
+        got.reduce_support_in_place_with(cap, &mut DistScratch::new());
+        assert_bits_eq(&got, &legacy_reduce(&d, cap));
     }
 }

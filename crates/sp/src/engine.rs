@@ -121,7 +121,8 @@ struct Engine<'a> {
     /// ≥ 2). Entries are lazily revalidated at pop time, so stale pushes
     /// are harmless.
     join_heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
-    /// Merge arena shared by every convolve/max of the reduction.
+    /// Kernel arena shared by every convolve/max/coarsening of the
+    /// reduction.
     dist_scratch: DistScratch,
 }
 
@@ -184,8 +185,8 @@ impl Engine<'_> {
         }
     }
 
-    fn cap(&self, mut d: DiscreteDist) -> DiscreteDist {
-        d.reduce_support_in_place(self.cfg.max_atoms);
+    fn cap(&mut self, mut d: DiscreteDist) -> DiscreteDist {
+        d.reduce_support_in_place_with(self.cfg.max_atoms, &mut self.dist_scratch);
         d
     }
 
@@ -400,12 +401,14 @@ pub fn dodin_forward_evaluate(
 }
 
 /// Reusable scratch for [`dodin_forward_evaluate_in`]: the per-node
-/// completion slots and the [`DistScratch`] merge arena, so a prepared
+/// completion slots, the per-node count of successors still to be
+/// evaluated, and the [`DistScratch`] kernel arena, so a prepared
 /// estimator evaluating many failure models allocates nothing per call
 /// beyond the per-node result supports themselves.
 #[derive(Debug, Default)]
 pub struct ForwardScratch {
     completion: Vec<Option<DiscreteDist>>,
+    pending_succs: Vec<u32>,
     dist: DistScratch,
 }
 
@@ -418,8 +421,9 @@ impl ForwardScratch {
 
 /// [`dodin_forward_evaluate`] over a caller-provided topological order
 /// and [`ForwardScratch`] — the hot-loop form: the topo walk is hoisted
-/// out of the per-model call and every convolve/max runs through the
-/// reused merge arena. Output is bit-identical to
+/// out of the per-model call, every convolve/max/coarsening runs through
+/// the reused kernel arena, and each completion is dropped after its
+/// last successor reads it. Output is bit-identical to
 /// [`dodin_forward_evaluate`].
 ///
 /// `topo` must be a topological order of `dag` over all its nodes.
@@ -432,13 +436,19 @@ pub fn dodin_forward_evaluate_in(
 ) -> DiscreteDist {
     assert!(dag.node_count() > 0, "cannot evaluate an empty DAG");
     debug_assert_eq!(topo.len(), dag.node_count(), "topo must cover the DAG");
-    let cap = |mut d: DiscreteDist| {
-        d.reduce_support_in_place(max_atoms);
+    let ForwardScratch {
+        completion,
+        pending_succs,
+        dist,
+    } = scratch;
+    let cap = |mut d: DiscreteDist, dist: &mut DistScratch| {
+        d.reduce_support_in_place_with(max_atoms, dist);
         d
     };
-    let completion = &mut scratch.completion;
     completion.clear();
     completion.resize(dag.node_count(), None);
+    pending_succs.clear();
+    pending_succs.extend(dag.nodes().map(|v| dag.out_degree(v) as u32));
     for &v in topo {
         let d = dist_of(v);
         let preds = dag.preds(v);
@@ -456,25 +466,36 @@ pub fn dodin_forward_evaluate_in(
                     let c = completion[p.index()]
                         .as_ref()
                         .expect("topological order visits predecessors first");
-                    start = Some(cap(match &start {
-                        None => c0.max_independent_with(c, &mut scratch.dist),
-                        Some(s) => s.max_independent_with(c, &mut scratch.dist),
-                    }));
+                    let m = match &start {
+                        None => c0.max_independent_with(c, dist),
+                        Some(s) => s.max_independent_with(c, dist),
+                    };
+                    start = Some(cap(m, dist));
                 }
-                cap(match &start {
-                    None => c0.convolve_with(&d, &mut scratch.dist),
-                    Some(s) => s.convolve_with(&d, &mut scratch.dist),
-                })
+                let c = match &start {
+                    None => c0.convolve_with(&d, dist),
+                    Some(s) => s.convolve_with(&d, dist),
+                };
+                cap(c, dist)
             }
         };
+        // A completion is dead once its last successor has read it;
+        // dropping it bounds the live supports by the DAG's frontier.
+        for &p in preds {
+            let left = &mut pending_succs[p.index()];
+            *left -= 1;
+            if *left == 0 {
+                completion[p.index()] = None;
+            }
+        }
         completion[v.index()] = Some(done);
     }
     let mut result: Option<DiscreteDist> = None;
     for v in dag.nodes().filter(|&v| dag.out_degree(v) == 0) {
-        let c = completion[v.index()].as_ref().expect("all nodes computed");
-        result = Some(match &result {
-            None => c.clone(),
-            Some(r) => cap(r.max_independent_with(c, &mut scratch.dist)),
+        let c = completion[v.index()].take().expect("all sinks computed");
+        result = Some(match result {
+            None => c,
+            Some(r) => cap(r.max_independent_with(&c, dist), dist),
         });
     }
     result.expect("non-empty DAG has at least one sink")
