@@ -1,8 +1,5 @@
-//! Distributed-executor primitives: the per-cell cost of deterministic
-//! shard assignment, the wire-protocol encode/decode round trip, a
-//! full in-process shard execution vs the in-process campaign backend
-//! on the same campaign (both cold — the shard path's overhead is the
-//! partition scan plus event emission), and the overhead of the
+//! Distributed-executor primitives: the wire-protocol encode/decode
+//! round trip, a cold in-process campaign, and the overhead of the
 //! telemetry layer (disabled vs enabled on an identical campaign; the
 //! disabled case is the acceptance gate — it must be indistinguishable
 //! from a build without telemetry).
@@ -11,8 +8,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use stochdag::prelude::*;
 use stochdag_engine::{
-    decode_event, encode_event, Campaign, CampaignEvent, DagSpec, EstimatorSpec, FnObserver,
-    SweepRow, Telemetry,
+    decode_event, encode_event, Campaign, CampaignEvent, DagSpec, EstimatorSpec, SweepRow,
+    Telemetry,
 };
 
 fn campaign() -> SweepSpec {
@@ -35,21 +32,6 @@ fn campaign() -> SweepSpec {
             ks: vec![4, 6, 8],
         }],
     }
-}
-
-fn bench_shard_assignment(c: &mut Criterion) {
-    let keys: Vec<String> = (0..4096).map(|i| format!("{i:032x}")).collect();
-    let mut group = c.benchmark_group("shard_assignment");
-    group.bench_function("shard_of_4096_keys_mod8", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for k in &keys {
-                acc += stochdag_engine::shard_of(black_box(k), 8);
-            }
-            acc
-        })
-    });
-    group.finish();
 }
 
 fn bench_protocol(c: &mut Criterion) {
@@ -83,7 +65,7 @@ fn bench_protocol(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_shard_vs_single(c: &mut Criterion) {
+fn bench_single_process(c: &mut Criterion) {
     let spec = campaign();
     let mut group = c.benchmark_group("sweep_18cells_cold");
     group.sample_size(3);
@@ -95,20 +77,6 @@ fn bench_shard_vs_single(c: &mut Criterion) {
                 .expect("valid campaign")
                 .run()
                 .expect("sweep runs")
-                .cells
-        })
-    });
-    group.bench_function("one_shard_of_one", |b| {
-        b.iter(|| {
-            Campaign::builder(spec.clone())
-                .cache(Arc::new(ResultCache::in_memory()))
-                .observer(FnObserver(|ev: &CampaignEvent| {
-                    black_box(ev);
-                }))
-                .build()
-                .expect("valid campaign")
-                .run_shard(0, 1)
-                .expect("shard runs")
                 .cells
         })
     });
@@ -136,9 +104,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_shard_assignment,
     bench_protocol,
-    bench_shard_vs_single,
+    bench_single_process,
     bench_telemetry_overhead
 );
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! `sweep-worker` — the worker half of distributed sweeps, in three
+//! `sweep-worker` — the worker half of distributed sweeps, in two
 //! modes:
 //!
 //! * `--leases` (spawned by the engine's [`MultiProcess`] backend):
@@ -14,9 +14,8 @@
 //!   runs a [`SpoolWorker`] session that claims leases from the spool
 //!   directory until the coordinator stops the campaign. See the
 //!   README's "Cross-host campaigns" section.
-//! * `--shard I --of N` (legacy v1 protocol): executes a static
-//!   partition via [`Campaign::run_shard`]. Kept for one deprecation
-//!   window alongside [`V1Backend`](stochdag_engine::V1Backend).
+//!
+//! A worker started with neither mode is refused.
 //!
 //! Not listed in `stochdag help`: the piped protocol is an internal
 //! contract with the coordinator, not a user interface — though a
@@ -28,7 +27,6 @@
 //! [`MultiProcess`]: stochdag_engine::MultiProcess
 //! [`WorkLease`]: stochdag_engine::WorkLease
 //! [`Campaign::serve_leases`]: stochdag_engine::Campaign::serve_leases
-//! [`Campaign::run_shard`]: stochdag_engine::Campaign::run_shard
 //! [`SpoolWorker`]: stochdag_engine::SpoolWorker
 
 use crate::args::Options;
@@ -90,26 +88,24 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     if let Some(spool) = opts.get("spool") {
         return run_spool(&opts, spool);
     }
+    if !opts.flag("leases") {
+        return Err(
+            "sweep-worker needs a mode: --leases (stdin lease pipe, spawned by \
+                    `sweep --workers N`) or --spool DIR (shared-filesystem campaign)"
+                .into(),
+        );
+    }
     let spec_path = opts.require("spec-json")?;
-    let leases = opts.flag("leases");
-    let slot: usize = if leases {
-        opts.require("worker")?
-            .parse()
-            .map_err(|_| "bad --worker".to_string())?
-    } else {
-        opts.require("shard")?
-            .parse()
-            .map_err(|_| "bad --shard".to_string())?
-    };
+    let slot: usize = opts
+        .require("worker")?
+        .parse()
+        .map_err(|_| "bad --worker".to_string())?;
     let result: Result<(), EngineError> = (|| {
         let mut spec = SweepSpec::from_file(spec_path)?;
-        if leases {
-            // The coordinator sizes this worker's thread pool
-            // explicitly (satellite of the lease redesign: no more
-            // cores/N guessing inside the worker).
-            if let Some(jobs) = opts.get("jobs") {
-                spec.jobs = Some(jobs.parse().map_err(|_| EngineError::spec("bad --jobs"))?);
-            }
+        // The coordinator sizes this worker's thread budget explicitly
+        // (no cores/N guessing inside the worker).
+        if let Some(jobs) = opts.get("jobs") {
+            spec.jobs = Some(jobs.parse().map_err(|_| EngineError::spec("bad --jobs"))?);
         }
         let cache = Arc::new(if opts.flag("no-cache") {
             ResultCache::in_memory()
@@ -133,18 +129,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         if crash_armed(slot) {
             builder = builder.observer(CrashAfterEvents { remaining: 3 });
         }
-        let campaign = builder.build()?;
-        if leases {
-            campaign.serve_leases(slot, std::io::stdin().lock())?;
-        } else {
-            let of: usize = opts
-                .require("of")
-                .map_err(EngineError::spec)?
-                .parse()
-                .map_err(|_| EngineError::spec("bad --of"))?;
-            campaign.run_shard(slot, of)?;
-        }
-        Ok(())
+        builder
+            .build()?
+            .serve_leases(slot, std::io::BufReader::new(std::io::stdin()))
     })();
     if let Err(e) = &result {
         // Best effort, covering every failure from spec loading through

@@ -3,21 +3,30 @@
 //! guarantee that a distributed campaign's merged CSV/JSONL is
 //! byte-identical to the single-process path over the same cache.
 
+use std::io::Write;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use stochdag_engine::{decode_event, CampaignEvent};
 
 fn stochdag(args: &[&str]) -> (bool, String, String) {
-    stochdag_env(args, &[])
+    stochdag_with(args, &[], "")
 }
 
-fn stochdag_env(args: &[&str], env: &[(&str, &str)]) -> (bool, String, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_stochdag"));
-    cmd.args(args);
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("binary runs");
+/// Run `stochdag args…` with extra environment variables and `stdin`
+/// piped in (then closed).
+fn stochdag_with(args: &[&str], env: &[(&str, &str)], stdin: &str) -> (bool, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_stochdag"))
+        .args(args)
+        .envs(env.iter().copied())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // A child that exits without reading its input closes the pipe;
+    // its exit status and output still tell the story.
+    let _ = child.stdin.take().unwrap().write_all(stdin.as_bytes());
+    let out = child.wait_with_output().expect("binary runs");
     (
         out.status.success(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -125,7 +134,7 @@ fn crashed_worker_shard_is_retried_once_and_output_stays_identical() {
     std::fs::write(&crash_file, "0").unwrap();
 
     let dist_out = dir.join("dist");
-    let (ok, stdout, stderr) = stochdag_env(
+    let (ok, stdout, stderr) = stochdag_with(
         &[
             "sweep",
             "--spec",
@@ -143,6 +152,7 @@ fn crashed_worker_shard_is_retried_once_and_output_stays_identical() {
             "STOCHDAG_SWEEP_WORKER_CRASH_FILE",
             crash_file.to_str().unwrap(),
         )],
+        "",
     );
     assert!(ok, "campaign must survive one worker crash: {stderr}");
     assert!(
@@ -186,7 +196,7 @@ fn crashed_worker_shard_is_retried_once_and_output_stays_identical() {
     // the second crash exhausts the per-lease attempt budget.
     std::fs::write(&crash_file, "0").unwrap();
     let twice = dir.join("twice-crash");
-    let (ok2, stdout2, stderr2) = stochdag_env(
+    let (ok2, stdout2, stderr2) = stochdag_with(
         &[
             "sweep",
             "--spec",
@@ -205,6 +215,7 @@ fn crashed_worker_shard_is_retried_once_and_output_stays_identical() {
             ),
             ("STOCHDAG_SWEEP_WORKER_CRASH_REARM", "1"),
         ],
+        "",
     );
     assert!(!ok2, "a lease failing every attempt must fail the campaign");
     assert!(stderr2.contains("sweep worker 0 failed"), "{stderr2}");
@@ -277,7 +288,7 @@ fn campaign_replays_byte_identically_from_a_pre_redesign_cache() {
 }
 
 #[test]
-fn sweep_worker_speaks_the_shard_protocol() {
+fn sweep_worker_speaks_the_lease_protocol() {
     let (dir, spec_toml) = scratch("proto");
     // Workers take the spec as JSON (what the coordinator hands them);
     // TOML also parses, but exercise the real handshake format.
@@ -285,76 +296,117 @@ fn sweep_worker_speaks_the_shard_protocol() {
     let spec_json = dir.join("campaign.json");
     std::fs::write(&spec_json, serde::json::to_string(&spec)).unwrap();
     let cache = dir.join("cache");
-
-    let mut all_cells = std::collections::BTreeSet::new();
-    let mut total = 0usize;
-    for shard in ["0", "1"] {
-        let (ok, stdout, stderr) = stochdag(&[
+    let plan =
+        stochdag_engine::CampaignPlan::new(&spec, &stochdag_engine::EstimatorRegistry::standard())
+            .unwrap();
+    let leases = &plan.leases()[..2];
+    let worker = |extra: &[&str], stdin: &str| {
+        let mut args = vec![
             "sweep-worker",
             "--spec-json",
             spec_json.to_str().unwrap(),
-            "--shard",
-            shard,
-            "--of",
-            "2",
-            "--cache",
-            cache.to_str().unwrap(),
-        ]);
-        assert!(ok, "{stderr}");
-        let events: Vec<CampaignEvent> = stdout
-            .lines()
-            .map(|l| decode_event(l).unwrap_or_else(|e| panic!("{e}")))
-            .collect();
-        match events.first() {
-            Some(CampaignEvent::Hello {
-                shard_count, cells, ..
-            }) => {
-                assert_eq!(*shard_count, 2);
-                total += cells;
-            }
-            other => panic!("expected hello first, got {other:?}"),
-        }
-        assert!(
-            matches!(events.last(), Some(CampaignEvent::Done { .. })),
-            "done last"
-        );
-        for ev in &events {
-            if let CampaignEvent::Cell { index, row, .. } = ev {
-                assert!(all_cells.insert(*index), "cell {index} on both shards");
-                assert!(row.value > 0.0 && row.rel_error.abs() < 0.5);
-            }
-        }
-    }
-    assert_eq!(total, 24, "hello totals cover the campaign");
-    assert_eq!(all_cells.len(), 24, "shards partition the 24 cells");
+            "--leases",
+            "--worker",
+            "3",
+            "--jobs",
+            "1",
+        ];
+        args.extend_from_slice(extra);
+        stochdag_with(&args, &[], stdin)
+    };
 
-    // A worker asked for an impossible shard fails cleanly, and its
-    // final stdout line is a protocol `error` event.
-    let (ok, stdout, stderr) = stochdag(&[
-        "sweep-worker",
-        "--spec-json",
-        spec_json.to_str().unwrap(),
-        "--shard",
-        "5",
-        "--of",
-        "2",
-        "--no-cache",
-    ]);
+    // Drive the worker by hand, as the coordinator would: two lease
+    // lines on stdin, then EOF.
+    let input: String = leases
+        .iter()
+        .map(|l| stochdag_engine::encode_lease(l) + "\n")
+        .collect();
+    let (ok, stdout, stderr) = worker(&["--cache", cache.to_str().unwrap()], &input);
+    assert!(ok, "{stderr}");
+    let events: Vec<CampaignEvent> = stdout
+        .lines()
+        .map(|l| decode_event(l).unwrap_or_else(|e| panic!("{e}")))
+        .collect();
+    match events.first() {
+        Some(CampaignEvent::Hello {
+            shard,
+            version,
+            jobs,
+            ..
+        }) => {
+            assert_eq!(*shard, 3, "hello carries the worker slot");
+            assert_eq!(*version, Some(2), "lease protocol v2");
+            assert_eq!(*jobs, Some(1), "the --jobs handshake");
+        }
+        other => panic!("expected hello first, got {other:?}"),
+    }
+    // One thread: each lease's events form one block, in input order.
+    // Lease 0 resolves the two reference scenarios; lease 1 (same DAG,
+    // next estimator) reuses them.
+    let tags: Vec<String> = events
+        .iter()
+        .map(|ev| match ev {
+            CampaignEvent::LeaseStart { lease_id, .. } => format!("start{lease_id}"),
+            CampaignEvent::LeaseDone { lease_id, .. } => format!("done{lease_id}"),
+            CampaignEvent::Cell { index, row, .. } => {
+                assert!(row.value > 0.0 && row.rel_error.abs() < 0.5);
+                format!("cell{index}")
+            }
+            CampaignEvent::Reference { .. } => "ref".into(),
+            CampaignEvent::Hello { .. } => "hello".into(),
+            CampaignEvent::Done { .. } => "done".into(),
+            other => panic!("unexpected event {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        (&leases[0].cells, &leases[1].cells),
+        (&vec![0, 2], &vec![1, 3])
+    );
+    assert_eq!(
+        tags.join(" "),
+        "hello start0 ref cell0 ref cell2 done0 start1 cell1 cell3 done1 done"
+    );
+
+    // A lease naming a cell outside the campaign fails the worker
+    // cleanly, and its final stdout line is a protocol `error` event
+    // carrying the structured failure kind, so a coordinator's metrics
+    // report can tally failures by kind.
+    let bad = stochdag_engine::encode_lease(&stochdag_engine::WorkLease {
+        lease_id: 0,
+        cells: vec![9999],
+    });
+    let (ok, stdout, stderr) = worker(&["--no-cache"], &(bad + "\n"));
     assert!(!ok);
     assert!(stderr.contains("out of range"), "{stderr}");
-    // The error event carries the structured failure kind, so a
-    // coordinator's metrics report can tally failures by kind.
     match decode_event(stdout.lines().last().unwrap()) {
         Ok(CampaignEvent::Error { kind, .. }) => {
             assert_eq!(kind.as_deref(), Some("spec"), "{stdout}")
         }
         other => panic!("expected error event, got {other:?}: {stdout}"),
     }
+
+    // The retired static-shard mode is refused, naming the two modes.
+    let (ok, stdout, stderr) = stochdag(&[
+        "sweep-worker",
+        "--spec-json",
+        spec_json.to_str().unwrap(),
+        "--shard",
+        "0",
+        "--of",
+        "2",
+        "--no-cache",
+    ]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("--leases") && stderr.contains("--spool"),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn resume_report_shows_per_shard_coverage() {
+fn resume_report_under_workers_shows_estimator_coverage() {
     let (dir, spec) = scratch("resume");
     let cache = dir.join("cache");
     let base = [
@@ -365,8 +417,8 @@ fn resume_report_shows_per_shard_coverage() {
         cache.to_str().unwrap(),
     ];
 
-    // Run the campaign once (single process), then ask how the cached
-    // cells would split over 2 workers.
+    // Run the campaign once (single process), then ask what a 2-worker
+    // run would find in the cache.
     let out = dir.join("out");
     let mut run_args = base.to_vec();
     run_args.extend(["--out", out.to_str().unwrap()]);
@@ -379,9 +431,10 @@ fn resume_report_shows_per_shard_coverage() {
     assert!(ok, "{stdout}");
     // 24 cells + 12 reference scenarios.
     assert!(stdout.contains("36 of 36 work units cached"), "{stdout}");
-    assert!(stdout.contains("shard"), "{stdout}");
-    assert!(stdout.contains("0/2"), "{stdout}");
-    assert!(stdout.contains("1/2"), "{stdout}");
+    assert!(stdout.contains("(mc reference)"), "{stdout}");
+    assert!(stdout.contains("first-order"), "{stdout}");
+    assert!(stdout.contains("sculli"), "{stdout}");
+    assert!(!stdout.contains("shard"), "no per-shard table: {stdout}");
     assert!(stdout.contains("entirely from cache"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

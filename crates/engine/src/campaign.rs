@@ -26,30 +26,27 @@
 //! output bytes are identical no matter which backend produced the
 //! events or how the leases interleaved.
 
-use crate::cache::{cell_key, ResultCache};
+use crate::cache::ResultCache;
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::lease::{
-    decode_lease, encode_lease, CampaignPlan, LeaseExecutor, LeasePoll, LeaseQueue, WorkLease,
+    encode_lease, serve_session, CampaignPlan, LeasePoll, LeaseQueue, PipeSource, QueueSource,
+    WorkLease,
 };
 use crate::observer::CampaignObserver;
 use crate::progress::{ProgressMode, ProgressReporter};
 use crate::protocol::{decode_event, CampaignEvent};
 use crate::registry::EstimatorRegistry;
-use crate::runner::{
-    apply_jobs_cap, derive_seed, expand, resume_report_impl, Expansion, ResumeReport, SweepOutcome,
-};
-use crate::shard::{execute_shard, shard_of, ShardOutcome};
+use crate::runner::{expand, resume_report_impl, Expansion, ResumeReport, SweepOutcome};
 use crate::sink::{summarize, Reorderer, ResultSink, SweepRow};
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-use stochdag_dag::structural_hash;
 
 /// Event source tag of the coordinator itself (the [`Plan`] event);
 /// backends tag events with their worker slot instead.
@@ -79,7 +76,7 @@ pub struct BackendContext<'a> {
     /// when set.
     pub cancel: &'a CancelToken,
     /// The expanded campaign plan the lease queue was built from —
-    /// what a [`LeaseExecutor`] executes against.
+    /// what a [`LeaseExecutor`](crate::LeaseExecutor) executes against.
     pub plan: &'a CampaignPlan,
 }
 
@@ -105,26 +102,12 @@ pub type Deliver<'a> = dyn Fn(usize, CampaignEvent) -> Result<(), EngineError> +
 /// Shipped backends:
 ///
 /// * [`InProcess`] — worker threads in this process draining the
-///   queue through one shared [`LeaseExecutor`].
+///   queue through one shared [`LeaseExecutor`](crate::LeaseExecutor).
 /// * [`MultiProcess`] — N `sweep-worker` processes on this machine
 ///   sharing the on-disk cache, leases streamed over stdin pipes.
 /// * [`SharedFs`](crate::SharedFs) — remote `sweep-worker` processes
 ///   on other hosts, coordinated through a shared-filesystem spool
 ///   directory.
-///
-/// # Migrating from v1
-///
-/// The v1 trait (static "run shard *i* of *n*" partitioning) is
-/// re-published as [`ExecBackendV1`] for a deprecation window; wrap an
-/// existing implementation in [`V1Backend`] to keep using it.
-///
-/// | v1 ([`ExecBackendV1`]) | v2 ([`ExecBackend`]) |
-/// |---|---|
-/// | `worker_count()` fixes the shard partition | [`workers`](ExecBackend::workers) is a slot-count hint (default 1); the partition is the coordinator's lease queue |
-/// | `execute(ctx, deliver)` runs every shard itself | [`execute`](ExecBackend::execute) pulls [`WorkLease`] batches from the [`LeaseQueue`] until it drains |
-/// | each shard announces totals via `Hello { cells, references }` | the coordinator announces exact totals once via [`Plan`](CampaignEvent::Plan); `Hello` carries `version: Some(2)` and the `jobs` thread-cap handshake |
-/// | a crashed worker's whole shard is retried once | a crashed worker's leases are re-queued individually ([`LeaseQueue::requeue`], two grants per lease) |
-/// | cache totals on `Done { hits, misses }` | cache totals per batch on [`LeaseDone`](CampaignEvent::LeaseDone), deduplicated by `lease_id`; v2 `Done` carries zeros |
 pub trait ExecBackend: Send + Sync {
     /// Human-readable backend name (diagnostics, dry runs).
     fn name(&self) -> String;
@@ -149,61 +132,13 @@ pub trait ExecBackend: Send + Sync {
     ) -> Result<(), EngineError>;
 }
 
-/// The **v1** execution-backend trait (static shard partitioning),
-/// kept for a deprecation window so external implementations survive
-/// the v2 redesign: change the `impl ExecBackend for …` line to
-/// `impl ExecBackendV1 for …` and pass the backend through
-/// [`V1Backend`]. See the [`ExecBackend`] migration table; this trait
-/// will be removed once shipped consumers have migrated.
-pub trait ExecBackendV1: Send + Sync {
-    /// Human-readable backend name (diagnostics, dry runs).
-    fn name(&self) -> String;
-
-    /// How many shards the campaign's cells are partitioned into.
-    fn worker_count(&self) -> usize;
-
-    /// Execute every cell, delivering each event (tagged with its
-    /// source shard) as it happens. Must deliver a `Hello` and a
-    /// `Done` for every shard in `0..worker_count()`.
-    fn execute(&self, ctx: &BackendContext<'_>, deliver: &Deliver<'_>) -> Result<(), EngineError>;
-}
-
-/// Adapter running a v1 backend ([`ExecBackendV1`]) under the v2
-/// campaign core: the wrapped backend executes every cell itself
-/// (static shards, v1 events), so the adapter retires the entire lease
-/// queue up front and lets the planned-mode merge reconcile the v1
-/// event stream — cells dedup by global index, totals come from the
-/// coordinator's `Plan`.
-pub struct V1Backend<B: ExecBackendV1>(pub B);
-
-impl<B: ExecBackendV1> ExecBackend for V1Backend<B> {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn workers(&self) -> usize {
-        self.0.worker_count()
-    }
-
-    fn execute(
-        &self,
-        ctx: &BackendContext<'_>,
-        leases: &LeaseQueue,
-        deliver: &Deliver<'_>,
-    ) -> Result<(), EngineError> {
-        // The v1 backend owns its own partition and retry story; the
-        // queue only exists so the core sees the campaign as leased.
-        while let Some(lease) = leases.next() {
-            leases.complete(lease.lease_id);
-        }
-        self.0.execute(ctx, deliver)
-    }
-}
-
 /// Execute the campaign on worker threads in this process: up to
 /// `--jobs` (default: every core) threads drain the lease queue
-/// through one shared [`LeaseExecutor`], so each DAG instance freezes
-/// once and each (instance × estimator) group prepares once.
+/// through one shared [`LeaseExecutor`](crate::LeaseExecutor), so each
+/// DAG instance freezes once and each (instance × estimator) group
+/// prepares once. The `jobs` budget is per campaign: concurrent
+/// campaigns in one process (the `serve` daemon's pool) each get their
+/// own.
 pub struct InProcess;
 
 impl ExecBackend for InProcess {
@@ -217,76 +152,9 @@ impl ExecBackend for InProcess {
         leases: &LeaseQueue,
         deliver: &Deliver<'_>,
     ) -> Result<(), EngineError> {
-        let start = Instant::now();
-        if ctx.cancel.is_cancelled() {
-            return Err(EngineError::cancelled());
-        }
-        let _jobs_cap = apply_jobs_cap(ctx.spec.jobs)?;
-        ctx.cache.reset_counters();
-        let executor = LeaseExecutor::new(ctx);
-        deliver(
-            0,
-            CampaignEvent::Hello {
-                shard: 0,
-                shard_count: 1,
-                cells: ctx.plan.cells(),
-                references: ctx.plan.references(),
-                version: Some(2),
-                jobs: ctx.spec.jobs,
-            },
-        )?;
-        let threads = rayon::current_num_threads().min(leases.total()).max(1);
-        let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let executor = &executor;
-                let first_error = &first_error;
-                scope.spawn(move || {
-                    while first_error.lock().expect("first error slot").is_none() {
-                        let Some(lease) = leases.next() else { return };
-                        match executor.run(&lease, &|ev| deliver(0, ev)) {
-                            Ok(()) => leases.complete(lease.lease_id),
-                            Err(e) => {
-                                // In-process failures (cancellation, a
-                                // sink/observer error surfaced through
-                                // emit) are fatal — there is no crashed
-                                // process to retry around.
-                                first_error
-                                    .lock()
-                                    .expect("first error slot")
-                                    .get_or_insert(e);
-                                leases.close();
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = first_error.into_inner().expect("first error slot") {
-            return Err(e);
-        }
-        let tel = executor.telemetry();
-        if tel.is_enabled() {
-            tel.record_span_duration("worker_shard", start.elapsed());
-            deliver(
-                0,
-                CampaignEvent::Telemetry {
-                    shard: 0,
-                    snapshot: tel.snapshot(),
-                },
-            )?;
-        }
-        // v2 `Done` carries zero cache totals: the per-batch tallies
-        // already arrived on `LeaseDone` events and would double-count.
-        deliver(
-            0,
-            CampaignEvent::Done {
-                hits: 0,
-                misses: 0,
-                wall_s: start.elapsed().as_secs_f64(),
-            },
-        )
+        serve_session(ctx, 0, &QueueSource { leases, deliver }, &|ev| {
+            deliver(0, ev)
+        })
     }
 }
 
@@ -716,38 +584,32 @@ impl ExecBackend for MultiProcess {
     }
 }
 
-/// Merges a campaign's event stream: per-source bookkeeping, row
-/// re-sequencing into the sinks, first-error capture, and the
-/// completeness checks that make backend outputs interchangeable.
+/// Merges a campaign's event stream: row re-sequencing into the sinks,
+/// first-error capture, and the completeness checks that make backend
+/// outputs interchangeable.
+///
+/// Every stream is a leased campaign's: the coordinator's
+/// [`Plan`](CampaignEvent::Plan) event fixes the expected cell,
+/// reference and lease totals, and a stream without one is rejected.
 ///
 /// `dedup` mode (the [`Campaign`] core) tolerates duplicate
-/// deliveries — what a re-queued lease (or a v1 shard retry) produces
-/// — by keeping the first copy of every cell/reference/lease total.
-/// Strict mode ([`crate::merge_event_streams`], which replays logged
-/// streams with no retry semantics) treats any repeat as a protocol
-/// violation.
-///
-/// A [`Plan`](CampaignEvent::Plan) event switches the merge to
-/// **planned** totals (v2): expected cell/reference counts come from
-/// the coordinator's plan instead of summing per-shard `Hello`
-/// announcements, and per-worker completeness is subsumed by the lease
-/// queue (workers under leasing cannot announce their share up front).
+/// deliveries — what a re-queued lease or a re-spawned worker
+/// produces — by keeping the first copy of every cell, reference,
+/// lease total and session event. Strict mode ([`merge_event_streams`],
+/// which replays logged streams with no retry semantics) passes every
+/// event through, so a repeated cell is a protocol violation.
 pub(crate) struct Merge {
     dedup: bool,
-    planned: bool,
+    /// `(cells, references, leases)` from the coordinator's plan.
+    plan: Option<(usize, usize, usize)>,
     reorder: Reorderer,
     rows: Vec<SweepRow>,
-    hellos: usize,
-    dones: usize,
-    hello_shards: BTreeMap<usize, (usize, usize)>,
-    done_shards: BTreeSet<usize>,
     seen_cells: HashSet<usize>,
     seen_scenarios: HashSet<usize>,
+    /// Session events (`hello`, `telemetry`, `done`) already merged,
+    /// by kind and worker slot: a re-spawned worker repeats them.
+    seen_sessions: HashSet<(&'static str, usize)>,
     lease_done: BTreeSet<usize>,
-    refs_seen: BTreeMap<usize, usize>,
-    telemetry_shards: BTreeSet<usize>,
-    total_cells: usize,
-    total_refs: usize,
     cache_hits: usize,
     cache_misses: usize,
     cells_computed: usize,
@@ -756,38 +618,17 @@ pub(crate) struct Merge {
     first_error: Option<EngineError>,
 }
 
-/// What [`Merge::finalize`] produces on success: the re-sequenced rows
-/// plus the campaign totals, with the cell cache-tier tallies
-/// deduplicated by global index (backend-invariant).
-pub(crate) struct Merged {
-    pub(crate) rows: Vec<SweepRow>,
-    pub(crate) cells: usize,
-    pub(crate) references: usize,
-    pub(crate) cache_hits: usize,
-    pub(crate) cache_misses: usize,
-    pub(crate) cells_computed: usize,
-    pub(crate) cells_memory_hits: usize,
-    pub(crate) cells_disk_hits: usize,
-}
-
 impl Merge {
     pub(crate) fn new(dedup: bool) -> Merge {
         Merge {
             dedup,
-            planned: false,
+            plan: None,
             reorder: Reorderer::new(),
             rows: Vec::new(),
-            hellos: 0,
-            dones: 0,
-            hello_shards: BTreeMap::new(),
-            done_shards: BTreeSet::new(),
             seen_cells: HashSet::new(),
             seen_scenarios: HashSet::new(),
+            seen_sessions: HashSet::new(),
             lease_done: BTreeSet::new(),
-            refs_seen: BTreeMap::new(),
-            telemetry_shards: BTreeSet::new(),
-            total_cells: 0,
-            total_refs: 0,
             cache_hits: 0,
             cache_misses: 0,
             cells_computed: 0,
@@ -806,43 +647,31 @@ impl Merge {
     }
 
     /// Dedup gate (dedup mode only): returns `true` when this event
-    /// re-delivers something already merged — a re-queued lease's
-    /// duplicate — so neither observers (progress counters!) nor the
-    /// row pipeline see it twice. v2 references carry their global
-    /// scenario index and dedup across workers; v1 references carry no
-    /// index and are capped at the count the shard's `Hello` announced.
+    /// re-delivers something already merged — a re-queued lease's or a
+    /// re-spawned worker's duplicate — so neither observers (progress
+    /// counters!) nor the row pipeline see it twice. References dedup
+    /// across workers by their global scenario index.
     pub(crate) fn is_duplicate(&mut self, source: usize, event: &CampaignEvent) -> bool {
         if !self.dedup {
             return false;
         }
         match event {
-            CampaignEvent::Plan { .. } => self.planned,
-            CampaignEvent::Hello { shard, .. } => self.hello_shards.contains_key(shard),
-            CampaignEvent::LeaseStart { .. } => false,
-            CampaignEvent::Reference {
-                scenario: Some(g), ..
-            } => !self.seen_scenarios.insert(*g),
-            CampaignEvent::Reference { scenario: None, .. } => {
-                let cap = self
-                    .hello_shards
-                    .get(&source)
-                    .map_or(usize::MAX, |&(_, refs)| refs);
-                let seen = self.refs_seen.entry(source).or_insert(0);
-                if *seen >= cap {
-                    true
-                } else {
-                    *seen += 1;
-                    false
-                }
+            CampaignEvent::Plan { .. } => self.plan.is_some(),
+            CampaignEvent::Hello { shard, .. } => !self.seen_sessions.insert(("hello", *shard)),
+            CampaignEvent::Reference { scenario, .. } => {
+                scenario.is_some_and(|g| !self.seen_scenarios.insert(g))
             }
             CampaignEvent::Cell { index, .. } => self.seen_cells.contains(index),
             CampaignEvent::LeaseDone { lease_id, .. } => self.lease_done.contains(lease_id),
-            CampaignEvent::Done { .. } => self.done_shards.contains(&source),
-            CampaignEvent::Error { .. } => false,
+            CampaignEvent::Done { .. } => !self.seen_sessions.insert(("done", source)),
             // A re-spawned worker re-sends its snapshot; merge each
             // source's telemetry exactly once.
-            CampaignEvent::Telemetry { shard, .. } => !self.telemetry_shards.insert(*shard),
-            CampaignEvent::Unknown { .. } => false,
+            CampaignEvent::Telemetry { shard, .. } => {
+                !self.seen_sessions.insert(("telemetry", *shard))
+            }
+            CampaignEvent::LeaseStart { .. }
+            | CampaignEvent::Error { .. }
+            | CampaignEvent::Unknown { .. } => false,
         }
     }
 
@@ -854,34 +683,12 @@ impl Merge {
     ) {
         match event {
             CampaignEvent::Plan {
-                cells, references, ..
-            } => {
-                // Authoritative totals from the coordinator's plan (in
-                // strict replay mode too: a logged v2 stream opens with
-                // the plan it executed).
-                self.planned = true;
-                self.total_cells = cells;
-                self.total_refs = references;
-            }
-            CampaignEvent::Hello {
-                shard,
                 cells,
                 references,
-                ..
+                leases,
             } => {
-                self.hellos += 1;
-                if self.dedup {
-                    // A re-spawned worker re-announces the same slot;
-                    // count each slot once.
-                    self.hello_shards
-                        .entry(shard)
-                        .or_insert((cells, references));
-                } else if !self.planned {
-                    self.total_cells += cells;
-                    self.total_refs += references;
-                }
+                self.plan = Some((cells, references, leases));
             }
-            CampaignEvent::Reference { .. } | CampaignEvent::LeaseStart { .. } => {}
             CampaignEvent::Cell {
                 index, tier, row, ..
             } => {
@@ -926,77 +733,172 @@ impl Merge {
                     self.cache_misses += misses;
                 }
             }
-            CampaignEvent::Done { hits, misses, .. } => {
-                self.dones += 1;
-                if !self.dedup || self.done_shards.insert(source) {
-                    self.cache_hits += hits;
-                    self.cache_misses += misses;
-                }
-            }
             CampaignEvent::Error { message, .. } => {
                 self.first_error
                     .get_or_insert(EngineError::worker(source, message));
             }
-            // Snapshot merging is the campaign core's business (it
-            // owns the Telemetry handle); unknown events are a newer
-            // writer's vocabulary — neither affects row bookkeeping.
-            CampaignEvent::Telemetry { .. } | CampaignEvent::Unknown { .. } => {}
+            // Session events carry no row bookkeeping (`Done` totals are
+            // zero: cache tallies arrive per lease); snapshot merging is
+            // the campaign core's business (it owns the Telemetry
+            // handle); unknown events are a newer writer's vocabulary.
+            CampaignEvent::Hello { .. }
+            | CampaignEvent::LeaseStart { .. }
+            | CampaignEvent::Reference { .. }
+            | CampaignEvent::Done { .. }
+            | CampaignEvent::Telemetry { .. }
+            | CampaignEvent::Unknown { .. } => {}
         }
     }
 
-    /// Final completeness checks; on success returns the re-sequenced
-    /// rows and campaign totals.
-    pub(crate) fn finalize(mut self, expected_workers: usize) -> Result<Merged, EngineError> {
+    /// Final completeness checks against the plan — every planned
+    /// cell merged exactly once, every planned lease reported its
+    /// `LeaseDone` — then the sinks' summary and finish (timed as the
+    /// `sink_flush` span). Returns the campaign outcome.
+    pub(crate) fn finish(
+        mut self,
+        sinks: &mut [&mut dyn ResultSink],
+        telemetry: &Telemetry,
+        start: Instant,
+    ) -> Result<SweepOutcome, EngineError> {
         if let Some(e) = self.first_error.take() {
             return Err(e);
         }
-        // Under leasing the per-worker started/completed census is
-        // meaningless (slots may retire early, re-spawn, or never win a
-        // lease); completeness is the lease queue draining plus the
-        // planned row total below.
-        if !self.planned {
-            let (started, completed) = if self.dedup {
-                (self.hello_shards.len(), self.done_shards.len())
-            } else {
-                (self.hellos, self.dones)
-            };
-            if started != expected_workers || completed != expected_workers {
-                return Err(EngineError::worker(
-                    None,
-                    format!(
-                        "only {completed} of {expected_workers} worker(s) completed their shard \
-                         ({started} started) — a worker crashed or was killed"
-                    ),
-                ));
-            }
-        }
-        if self.dedup && !self.planned {
-            self.total_cells = self.hello_shards.values().map(|&(c, _)| c).sum();
-            self.total_refs = self.hello_shards.values().map(|&(_, r)| r).sum();
-        }
-        if self.reorder.pending() != 0 || self.rows.len() != self.total_cells {
+        let Some((cells, references, leases)) = self.plan else {
+            return Err(EngineError::worker(
+                None,
+                "worker event stream carries no plan event (not a leased campaign stream)",
+            ));
+        };
+        if self.reorder.pending() != 0 || self.rows.len() != cells {
             return Err(EngineError::worker(
                 None,
                 format!(
-                    "merged {} of {} announced cells ({} out-of-sequence) — \
-                     shards overlapped or dropped cells",
+                    "merged {} of {cells} planned cells ({} out-of-sequence) — \
+                     worker streams overlapped or dropped cells",
                     self.rows.len(),
-                    self.total_cells,
                     self.reorder.pending()
                 ),
             ));
         }
-        Ok(Merged {
-            rows: self.rows,
-            cells: self.total_cells,
-            references: self.total_refs,
+        if self.lease_done.len() != leases {
+            return Err(EngineError::worker(
+                None,
+                format!(
+                    "only {} of {leases} planned leases reported lease_done — \
+                     a worker crashed or its stream was cut",
+                    self.lease_done.len()
+                ),
+            ));
+        }
+        let summary = summarize(&self.rows);
+        {
+            let _flush = telemetry.span("sink_flush");
+            for sink in sinks.iter_mut() {
+                sink.summary(&summary)
+                    .and_then(|()| sink.finish())
+                    .map_err(|e| EngineError::sink(None, format!("sink summary: {e}")))?;
+            }
+        }
+        Ok(SweepOutcome {
+            cells,
+            // Exact from the coordinator's plan (one reference scenario
+            // per instance × model, however many workers probed it).
+            references,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
             cells_computed: self.cells_computed,
             cells_memory_hits: self.cells_memory_hits,
             cells_disk_hits: self.cells_disk_hits,
+            wall: start.elapsed(),
+            rows: self.rows,
+            summary,
         })
     }
+}
+
+/// Merge N worker event streams into ordered sink output.
+///
+/// A [`Campaign`] run does this — plus worker lifecycle and crash
+/// retry — in one call; this entry point exists for *replayed*
+/// streams: captured worker stdout, archived event logs (an observer
+/// on [`Campaign::run`] sees exactly what `serve` streams to its
+/// clients), spliced protocol fixtures.
+///
+/// Each reader is one slice of a leased campaign's event stream; one
+/// of them must carry the coordinator's [`Plan`](CampaignEvent::Plan)
+/// event. Rows arrive tagged with their global cell index and are
+/// re-sequenced, so the sinks observe the exact same ordered row
+/// stream — and therefore write the exact same bytes — as an
+/// in-process run over the same cache. Progress events feed `progress`
+/// as they arrive.
+///
+/// Fails if any stream reports [`CampaignEvent::Error`] or is
+/// malformed, if no stream carries a plan, or if the merged rows and
+/// [`LeaseDone`](CampaignEvent::LeaseDone) events do not cover every
+/// planned cell and lease exactly once.
+pub fn merge_event_streams<R: BufRead + Send>(
+    workers: Vec<R>,
+    sinks: &mut [&mut dyn ResultSink],
+    progress: &mut ProgressReporter,
+) -> Result<SweepOutcome, EngineError> {
+    let start = Instant::now();
+    if workers.is_empty() {
+        return Err(EngineError::worker(
+            None,
+            "distributed sweep needs at least one worker",
+        ));
+    }
+    for sink in sinks.iter_mut() {
+        sink.begin()
+            .map_err(|e| EngineError::sink(None, format!("sink begin: {e}")))?;
+    }
+
+    // Strict merge: replayed streams have no retry semantics, so any
+    // repeated or overlapping delivery is a protocol violation.
+    let mut merge = Merge::new(false);
+    let (tx, rx) = mpsc::channel::<(usize, Result<CampaignEvent, String>)>();
+    std::thread::scope(|scope| {
+        for (w, reader) in workers.into_iter().enumerate() {
+            let tx = tx.clone();
+            scope.spawn(move || {
+                // After a corrupt line the stream is untrusted, but it
+                // is still drained to EOF: closing the pipe early would
+                // kill a live worker mid-write (EPIPE) instead of
+                // letting it finish — its results are in the shared
+                // cache regardless — and exit cleanly.
+                let mut corrupt = false;
+                for line in reader.lines() {
+                    let Ok(line) = line else {
+                        // Pipe torn down mid-stream; the worker is
+                        // gone and the completeness checks will fail.
+                        let _ = tx.send((w, Err(format!("worker {w} stream broke mid-read"))));
+                        return;
+                    };
+                    if corrupt {
+                        continue;
+                    }
+                    let event = decode_event(&line);
+                    corrupt = event.is_err();
+                    if tx.send((w, event)).is_err() {
+                        return; // coordinator stopped listening
+                    }
+                }
+            });
+        }
+        drop(tx);
+
+        for (w, event) in rx {
+            match event {
+                Ok(ev) => {
+                    progress.observe(&ev);
+                    merge.observe(w, ev, sinks);
+                }
+                Err(e) => merge.record_error(EngineError::worker(None, e)),
+            }
+        }
+    });
+    progress.finish();
+    merge.finish(sinks, &Telemetry::disabled(), start)
 }
 
 /// One concrete DAG instance in a [`DryRun`] report.
@@ -1028,11 +930,6 @@ pub struct DryRun {
     pub cells: usize,
     /// Monte-Carlo reference scenarios.
     pub references: usize,
-    /// Cells each shard would own under the *v1 static partition* at
-    /// the backend's worker count — the load-balance baseline that
-    /// work leasing replaces (leases assign dynamically, so per-worker
-    /// loads are not knowable up front).
-    pub shard_cells: Vec<usize>,
 }
 
 /// A fully-configured campaign: the one handle behind `sweep`-style
@@ -1072,7 +969,6 @@ impl Campaign {
             backend: Box::new(InProcess),
             sinks: Vec::new(),
             observers: Vec::new(),
-            jobs: None,
             telemetry: Telemetry::disabled(),
             cancel: CancelToken::new(),
         }
@@ -1091,7 +987,13 @@ impl Campaign {
 
     /// Execute every cell on the configured backend, streaming ordered
     /// rows into the sinks and raw events into the observers.
+    ///
+    /// The coordinator plans the campaign, announces the plan, runs the
+    /// backend over the lease queue, merges its event stream (dedup,
+    /// re-sequencing, completeness), feeds observers and sinks, and
+    /// folds worker telemetry snapshots into the campaign's collector.
     pub fn run(self) -> Result<SweepOutcome, EngineError> {
+        let start = Instant::now();
         let Campaign {
             spec,
             registry,
@@ -1102,271 +1004,15 @@ impl Campaign {
             telemetry,
             cancel,
         } = self;
-        let mut sink_refs: Vec<&mut dyn ResultSink> = sinks
+        let mut sinks: Vec<&mut dyn ResultSink> = sinks
             .iter_mut()
             .map(|b| &mut **b as &mut dyn ResultSink)
             .collect();
-        Campaign::run_core(
-            &spec,
-            &registry,
-            &cache,
-            backend.as_ref(),
-            &mut observers,
-            &mut sink_refs,
-            &telemetry,
-            &cancel,
-        )
-    }
-
-    /// Diff the spec against the cache — per-estimator and per-shard
-    /// hit/miss counts under the configured backend's worker count —
-    /// without computing anything or perturbing the cache.
-    pub fn resume_report(&self) -> Result<ResumeReport, EngineError> {
-        resume_report_impl(
-            &self.spec,
-            &self.registry,
-            &self.cache,
-            self.backend.workers(),
-        )
-    }
-
-    /// Expand the campaign — instances, models, estimators, cell and
-    /// reference counts, per-shard cell loads — without executing or
-    /// probing anything.
-    pub fn dry_run(&self) -> Result<DryRun, EngineError> {
-        let Expansion {
-            estimator_ids,
-            instances,
-            models,
-            ..
-        } = expand(&self.spec, &self.registry)?;
-        let shard_count = self.backend.workers().max(1);
-        let e_count = estimator_ids.len();
-        let hashes: Vec<u128> = instances.iter().map(|i| structural_hash(&i.dag)).collect();
-        let mut shard_cells = vec![0usize; shard_count];
-        for (i, inst_models) in models.iter().enumerate() {
-            for entry in inst_models {
-                for (_, canonical) in &estimator_ids {
-                    let unit = entry.unit(canonical);
-                    let seed = derive_seed(self.spec.seed, hashes[i], entry.model.lambda, &unit);
-                    let key = cell_key(hashes[i], entry.model.lambda, &unit, seed);
-                    shard_cells[shard_of(&key, shard_count)] += 1;
-                }
-            }
-        }
-        let m_count = self.spec.model_count();
-        Ok(DryRun {
-            name: self.spec.name.clone(),
-            backend: self.backend.name(),
-            estimators: estimator_ids.into_iter().map(|(_, id)| id).collect(),
-            instances: instances
-                .iter()
-                .map(|i| DryRunInstance {
-                    id: i.id.clone(),
-                    tasks: i.dag.node_count(),
-                    edges: i.dag.edge_count(),
-                })
-                .collect(),
-            models: m_count,
-            cells: instances.len() * m_count * e_count,
-            references: instances.len() * m_count,
-            shard_cells,
-        })
-    }
-
-    /// Execute one static shard of the campaign in this process (the
-    /// worker half of a **v1** distributed run, kept for the
-    /// `sweep-worker --shard I --of N` protocol): events go to the
-    /// configured observers — a worker process attaches a
-    /// [`WireObserver`](crate::WireObserver) on stdout — and rows
-    /// cross back to the coordinator as events, so sinks are not fed.
-    pub fn run_shard(
-        mut self,
-        shard: usize,
-        shard_count: usize,
-    ) -> Result<ShardOutcome, EngineError> {
-        let observers = Mutex::new(std::mem::take(&mut self.observers));
-        let result = execute_shard(
-            &self.spec,
-            &self.registry,
-            &self.cache,
-            &self.telemetry,
-            &self.cancel,
-            shard,
-            shard_count,
-            &|ev| {
-                let mut observers = observers.lock().expect("observer list");
-                for o in observers.iter_mut() {
-                    o.on_event(&ev)?;
-                }
-                Ok(())
-            },
-        );
-        for o in observers.into_inner().expect("observer list").iter_mut() {
-            let _ = o.on_finish();
-        }
-        result
-    }
-
-    /// Serve work leases from `input` — the worker half of a **v2**
-    /// distributed run (`sweep-worker --leases`, spawned by
-    /// [`MultiProcess`] or launched by hand against a
-    /// [`SharedFs`](crate::SharedFs) spool's coordinator pipe).
-    ///
-    /// Decodes one [`WorkLease`] per line, executes each against the
-    /// shared cache with `jobs` worker threads (the coordinator's
-    /// `--jobs` handshake; defaulting to this machine's cores — a
-    /// leased worker never derives `cores / N`, it does not know the
-    /// peer count), and reports events to the configured observers — a
-    /// worker process attaches a
-    /// [`WireObserver`](crate::WireObserver) on stdout. Returns when
-    /// `input` reaches EOF (the coordinator closed the pipe after the
-    /// queue drained). `worker` tags this worker's `Hello`/`Telemetry`
-    /// events.
-    pub fn serve_leases(mut self, worker: usize, input: impl BufRead) -> Result<(), EngineError> {
-        let start = Instant::now();
-        if self.cancel.is_cancelled() {
-            return Err(EngineError::cancelled());
-        }
-        let observers = Mutex::new(std::mem::take(&mut self.observers));
-        let emit = |ev: CampaignEvent| -> Result<(), EngineError> {
-            let mut observers = observers.lock().expect("observer list");
-            for o in observers.iter_mut() {
-                o.on_event(&ev)?;
-            }
-            Ok(())
-        };
-        let result = (|| {
-            let _jobs_cap = apply_jobs_cap(self.spec.jobs)?;
-            self.cache.reset_counters();
-            let plan = CampaignPlan::new(&self.spec, &self.registry)?;
-            let ctx = BackendContext {
-                spec: &self.spec,
-                registry: &self.registry,
-                cache: &self.cache,
-                telemetry: &self.telemetry,
-                cancel: &self.cancel,
-                plan: &plan,
-            };
-            let executor = LeaseExecutor::new(&ctx);
-            emit(CampaignEvent::Hello {
-                shard: worker,
-                shard_count: 0,
-                cells: 0,
-                references: 0,
-                version: Some(2),
-                jobs: self.spec.jobs,
-            })?;
-            let threads = self
-                .spec
-                .jobs
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-                .max(1);
-            let (tx, rx) = mpsc::channel::<WorkLease>();
-            let rx = Mutex::new(rx);
-            let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let rx = &rx;
-                    let first_error = &first_error;
-                    let executor = &executor;
-                    let emit = &emit;
-                    scope.spawn(move || loop {
-                        let lease = rx.lock().expect("lease receiver").recv();
-                        let Ok(lease) = lease else { return };
-                        if let Err(e) = executor.run(&lease, emit) {
-                            first_error
-                                .lock()
-                                .expect("first error slot")
-                                .get_or_insert(e);
-                            return;
-                        }
-                    });
-                }
-                // Reader: one lease per line until the coordinator
-                // closes the pipe (blank lines are keep-alives).
-                for line in input.lines() {
-                    if first_error.lock().expect("first error slot").is_some() {
-                        break;
-                    }
-                    let line = match line {
-                        Ok(l) => l,
-                        Err(e) => {
-                            first_error
-                                .lock()
-                                .expect("first error slot")
-                                .get_or_insert(EngineError::io("reading lease stream", e));
-                            break;
-                        }
-                    };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match decode_lease(&line) {
-                        Ok(lease) => {
-                            if tx.send(lease).is_err() {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            first_error
-                                .lock()
-                                .expect("first error slot")
-                                .get_or_insert(EngineError::worker(worker, e));
-                            break;
-                        }
-                    }
-                }
-                drop(tx);
-            });
-            if let Some(e) = first_error.into_inner().expect("first error slot") {
-                return Err(e);
-            }
-            let tel = executor.telemetry();
-            if tel.is_enabled() {
-                tel.record_span_duration("worker_shard", start.elapsed());
-                emit(CampaignEvent::Telemetry {
-                    shard: worker,
-                    snapshot: tel.snapshot(),
-                })?;
-            }
-            // Zero cache totals by design: per-batch tallies already
-            // went out on LeaseDone events.
-            emit(CampaignEvent::Done {
-                hits: 0,
-                misses: 0,
-                wall_s: start.elapsed().as_secs_f64(),
-            })
-        })();
-        for o in observers.into_inner().expect("observer list").iter_mut() {
-            let _ = o.on_finish();
-        }
-        result
-    }
-
-    /// The engine room shared by every full-campaign execution path:
-    /// plans the campaign, announces the plan, runs the backend over
-    /// the lease queue, merges its event stream (dedup, re-sequencing,
-    /// completeness), feeds observers and sinks, and folds worker
-    /// telemetry snapshots into the campaign's collector.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_core(
-        spec: &SweepSpec,
-        registry: &EstimatorRegistry,
-        cache: &ResultCache,
-        backend: &dyn ExecBackend,
-        observers: &mut [Box<dyn CampaignObserver>],
-        sinks: &mut [&mut dyn ResultSink],
-        telemetry: &Telemetry,
-        cancel: &CancelToken,
-    ) -> Result<SweepOutcome, EngineError> {
-        let start = Instant::now();
         spec.validate()?;
-        let workers = backend.workers();
-        if workers == 0 {
+        if backend.workers() == 0 {
             return Err(EngineError::spec("backend needs at least one worker"));
         }
-        let plan = CampaignPlan::new(spec, registry)?;
+        let plan = CampaignPlan::new(&spec, &registry)?;
         let leases = LeaseQueue::new(plan.leases().to_vec());
         for sink in sinks.iter_mut() {
             sink.begin()
@@ -1394,11 +1040,11 @@ impl Campaign {
         ))
         .expect("plan receiver alive");
         let ctx = BackendContext {
-            spec,
-            registry,
-            cache,
-            telemetry,
-            cancel,
+            spec: &spec,
+            registry: &registry,
+            cache: &cache,
+            telemetry: &telemetry,
+            cancel: &cancel,
             plan: &plan,
         };
         let backend_result = std::thread::scope(|scope| {
@@ -1451,7 +1097,7 @@ impl Campaign {
                         merge.record_error(e);
                     }
                 }
-                merge.observe(source, event, sinks);
+                merge.observe(source, event, &mut sinks);
             }
             handle.join().expect("backend thread panicked")
         });
@@ -1461,33 +1107,93 @@ impl Campaign {
             }
         }
         backend_result?;
-        let merged = merge.finalize(workers)?;
-        let summary = summarize(&merged.rows);
-        {
-            let _flush = telemetry.span("sink_flush");
-            for sink in sinks.iter_mut() {
-                sink.summary(&summary)
-                    .and_then(|()| sink.finish())
-                    .map_err(|e| EngineError::sink(None, format!("sink summary: {e}")))?;
-            }
-        }
-        let wall = start.elapsed();
-        telemetry.record_span_duration("campaign", wall);
-        Ok(SweepOutcome {
-            cells: merged.cells,
-            // Exact from the coordinator's plan (one reference
-            // scenario per instance × model, however many workers
-            // probed it).
-            references: merged.references,
-            cache_hits: merged.cache_hits,
-            cache_misses: merged.cache_misses,
-            cells_computed: merged.cells_computed,
-            cells_memory_hits: merged.cells_memory_hits,
-            cells_disk_hits: merged.cells_disk_hits,
-            wall,
-            rows: merged.rows,
-            summary,
+        let outcome = merge.finish(&mut sinks, &telemetry, start)?;
+        telemetry.record_span_duration("campaign", outcome.wall);
+        Ok(outcome)
+    }
+
+    /// Diff the spec against the cache — per-estimator hit/miss
+    /// counts — without computing anything or perturbing the cache.
+    pub fn resume_report(&self) -> Result<ResumeReport, EngineError> {
+        resume_report_impl(&self.spec, &self.registry, &self.cache)
+    }
+
+    /// Expand the campaign — instances, models, estimators, cell and
+    /// reference counts — without executing or probing anything.
+    pub fn dry_run(&self) -> Result<DryRun, EngineError> {
+        let Expansion {
+            estimator_ids,
+            instances,
+            ..
+        } = expand(&self.spec, &self.registry)?;
+        let e_count = estimator_ids.len();
+        let m_count = self.spec.model_count();
+        Ok(DryRun {
+            name: self.spec.name.clone(),
+            backend: self.backend.name(),
+            estimators: estimator_ids.into_iter().map(|(_, id)| id).collect(),
+            instances: instances
+                .iter()
+                .map(|i| DryRunInstance {
+                    id: i.id.clone(),
+                    tasks: i.dag.node_count(),
+                    edges: i.dag.edge_count(),
+                })
+                .collect(),
+            models: m_count,
+            cells: instances.len() * m_count * e_count,
+            references: instances.len() * m_count,
         })
+    }
+
+    /// Serve work leases from `input` — the worker half of a **v2**
+    /// distributed run (`sweep-worker --leases`, spawned by
+    /// [`MultiProcess`] or launched by hand against a
+    /// [`SharedFs`](crate::SharedFs) spool's coordinator pipe).
+    ///
+    /// Decodes one [`WorkLease`] per line, executes each against the
+    /// shared cache within the spec's `jobs` thread budget (the
+    /// coordinator's `--jobs` handshake; defaulting to this machine's
+    /// cores — a leased worker never derives `cores / N`, it does not
+    /// know the peer count), and reports events to the configured
+    /// observers — a worker process attaches a
+    /// [`WireObserver`](crate::WireObserver) on stdout. Returns when
+    /// `input` reaches EOF (the coordinator closed the pipe after the
+    /// queue drained). `worker` tags this worker's `Hello`/`Telemetry`
+    /// events.
+    pub fn serve_leases(
+        mut self,
+        worker: usize,
+        input: impl BufRead + Send,
+    ) -> Result<(), EngineError> {
+        let observers = Mutex::new(std::mem::take(&mut self.observers));
+        let emit = |ev: CampaignEvent| -> Result<(), EngineError> {
+            let mut observers = observers.lock().expect("observer list");
+            for o in observers.iter_mut() {
+                o.on_event(&ev)?;
+            }
+            Ok(())
+        };
+        let result = CampaignPlan::new(&self.spec, &self.registry).and_then(|plan| {
+            let ctx = BackendContext {
+                spec: &self.spec,
+                registry: &self.registry,
+                cache: &self.cache,
+                telemetry: &self.telemetry,
+                cancel: &self.cancel,
+                plan: &plan,
+            };
+            let pipe = PipeSource {
+                lines: Mutex::new(input.lines()),
+                worker,
+                emit: &emit,
+            };
+            serve_session(&ctx, worker, &pipe, &emit)
+        });
+        for o in observers.into_inner().expect("observer list").iter_mut() {
+            let _ = o.on_finish();
+        }
+        result
     }
 }
 
@@ -1499,7 +1205,6 @@ pub struct CampaignBuilder {
     backend: Box<dyn ExecBackend>,
     sinks: Vec<Box<dyn ResultSink>>,
     observers: Vec<Box<dyn CampaignObserver>>,
-    jobs: Option<usize>,
     telemetry: Telemetry,
     cancel: CancelToken,
 }
@@ -1519,9 +1224,7 @@ impl CampaignBuilder {
         self
     }
 
-    /// Select the execution backend (default: [`InProcess`]). A v1
-    /// implementation goes through the [`V1Backend`] adapter:
-    /// `.backend(V1Backend(my_v1_backend))`.
+    /// Select the execution backend (default: [`InProcess`]).
     pub fn backend(mut self, backend: impl ExecBackend + 'static) -> Self {
         self.backend = Box::new(backend);
         self
@@ -1530,7 +1233,7 @@ impl CampaignBuilder {
     /// Cap the campaign's worker threads (overrides the spec's `jobs`;
     /// results are identical at any setting).
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
+        self.spec.jobs = Some(jobs);
         self
     }
 
@@ -1585,19 +1288,15 @@ impl CampaignBuilder {
     /// fail here, before any filesystem or process work.
     pub fn build(self) -> Result<Campaign, EngineError> {
         let CampaignBuilder {
-            mut spec,
+            spec,
             registry,
             cache,
             backend,
             sinks,
             observers,
-            jobs,
             telemetry,
             cancel,
         } = self;
-        if let Some(jobs) = jobs {
-            spec.jobs = Some(jobs);
-        }
         spec.validate()?;
         for est in &spec.estimators {
             registry.build(est, 0)?; // constructors are cheap; reject bad knobs now

@@ -3,7 +3,7 @@
 //! A [`CancelToken`] is a cloneable flag shared between whoever owns a
 //! running [`Campaign`](crate::Campaign) (a serve daemon, an embedding
 //! UI, a signal handler) and the execution machinery. Cancellation is
-//! **cooperative**: the shard executor checks the token between cells,
+//! **cooperative**: the lease executor checks the token between cells,
 //! never mid-cell, so every cell that started finishes and lands in
 //! the shared [`ResultCache`](crate::ResultCache). A cancelled run
 //! fails with [`EngineError::Cancelled`](crate::EngineError) — and

@@ -1,20 +1,19 @@
 //! Work leasing: the coordinator-side ready queue, the campaign plan,
-//! and the shared lease executor behind `ExecBackend` v2.
+//! the shared lease executor behind `ExecBackend` v2, and the one
+//! worker loop every lease consumer runs.
 //!
-//! PR 4's distribution partitioned cells **statically** by hashing
-//! their cache keys; heterogeneous cells (an `exact` cell costs orders
-//! of magnitude more than an analytic one) left workers idle while the
-//! unlucky shard dragged the tail. v2 inverts control: the coordinator
-//! owns a [`LeaseQueue`] of [`WorkLease`] cell batches — one lease per
-//! (instance × estimator) group, so the per-group estimator
-//! preparation amortizes exactly as before — and workers *pull* the
-//! next batch whenever they finish one. A lease whose worker crashes
-//! is re-queued (bounded by [`LeaseQueue::with_max_attempts`]) and any
-//! worker may pick it up: results are deterministic and the campaign
-//! merge deduplicates by cell index, so duplicated attempts are
-//! harmless.
+//! Static partitions leave workers idle behind the unlucky worker
+//! that drew the expensive cells (an `exact` cell costs orders of
+//! magnitude more than an analytic one). Leasing inverts control: the
+//! coordinator owns a [`LeaseQueue`] of [`WorkLease`] cell batches —
+//! one lease per (instance × estimator) group, so the per-group
+//! estimator preparation amortizes — and workers *pull* the next batch
+//! whenever they finish one. A lease whose worker crashes is re-queued
+//! (bounded by [`LeaseQueue::with_max_attempts`]) and any worker may
+//! pick it up: results are deterministic and the campaign merge
+//! deduplicates by cell index, so duplicated attempts are harmless.
 //!
-//! The three pieces:
+//! The pieces:
 //!
 //! * [`CampaignPlan`] — the validated expansion plus the lease list
 //!   every v2 backend executes; its totals feed the
@@ -27,15 +26,21 @@
 //! * [`LeaseExecutor`] — the cache-first cell evaluator shared by every
 //!   consumer (in-process threads, `sweep-worker --leases` processes,
 //!   spool-directory workers), built on the same
-//!   [`evaluate_unit`]/[`make_row`] definitions as v1 sharding — which
-//!   is what keeps lease interleavings byte-identical to a
+//!   [`evaluate_unit`]/[`make_row`] definitions everywhere — which is
+//!   what keeps lease interleavings byte-identical to a
 //!   single-process run.
+//! * `drain` — the worker loop: N threads inside the campaign's thread
+//!   budget pull leases from a `LeaseSource`, run them on the shared
+//!   executor, and stop at the first error. Its three transports are
+//!   the coordinator's queue ([`InProcess`](crate::InProcess)), a
+//!   stdin pipe (`sweep-worker --leases`) and a spool directory
+//!   ([`SpoolWorker`](crate::SpoolWorker)).
 //!
 //! Leases cross process boundaries as one JSON line each
 //! ([`encode_lease`]/[`decode_lease`]), mirroring the event protocol.
 
 use crate::cache::{cell_key, CacheTier, ResultCache};
-use crate::campaign::BackendContext;
+use crate::campaign::{BackendContext, Deliver};
 use crate::cancel::CancelToken;
 use crate::error::EngineError;
 use crate::protocol::CampaignEvent;
@@ -44,9 +49,11 @@ use crate::runner::{cell_index, derive_seed, evaluate_unit, expand, make_row, Ex
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize, Value};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::BufRead;
 use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use stochdag_core::{Estimate, Estimator, MonteCarloEstimator, PreparedEstimator};
 use stochdag_dag::{structural_hash, PreparedDag};
 
@@ -143,8 +150,8 @@ impl QueueInner {
 /// `LeaseDone` arrives. When a consumer dies mid-lease,
 /// [`requeue`](LeaseQueue::requeue) puts the batch back for any other
 /// consumer — up to `max_attempts` grants per lease (default 2: the
-/// initial attempt plus one retry, generalizing PR 5's single
-/// shard-retry), after which `requeue` refuses and the campaign fails.
+/// initial attempt plus one retry), after which `requeue` refuses and
+/// the campaign fails.
 ///
 /// All methods take `&self`; the queue is fully thread-safe.
 pub struct LeaseQueue {
@@ -296,9 +303,8 @@ impl LeaseQueue {
 /// backends through [`BackendContext::plan`].
 ///
 /// One lease per (instance × estimator) group, cells in ascending
-/// scenario order: the same work units v1 parallelized over, so the
-/// one-preparation-per-group amortization (and its cost attribution to
-/// the group's first computed cell) is preserved under leasing.
+/// scenario order, so each group prepares its estimator once and the
+/// preparation cost is attributed to the group's first computed cell.
 pub struct CampaignPlan {
     pub(crate) expansion: Expansion,
     pub(crate) hashes: Vec<u128>,
@@ -377,7 +383,7 @@ impl CampaignPlan {
 /// [`Reference`](CampaignEvent::Reference) event (tagged with the
 /// global scenario index so the coordinator deduplicates across
 /// *sessions*); later leases reuse the in-memory estimate without
-/// another cache probe, exactly like v1's per-shard reference phase.
+/// another cache probe.
 ///
 /// [`run`](LeaseExecutor::run) is safe to call from many threads at
 /// once over one shared executor — that is precisely how the
@@ -461,7 +467,7 @@ impl<'a> LeaseExecutor<'a> {
         };
         // Lazy one-preparation-per-(instance × estimator) group, reset
         // when the lease crosses a group boundary — planned leases
-        // never do, so cost attribution matches v1 sharding exactly.
+        // never do, so every backend attributes preparation cost alike.
         let mut prep: Option<Box<dyn PreparedEstimator>> = None;
         let mut prep_group: Option<(usize, usize)> = None;
         for &idx in &lease.cells {
@@ -570,6 +576,194 @@ impl<'a> LeaseExecutor<'a> {
             hits,
             misses,
         })
+    }
+}
+
+/// Where a lease worker's leases come from and where their events go:
+/// the seam between [`drain`] and its transports (the coordinator's
+/// queue, a stdin pipe, a spool directory). Each transport keeps its
+/// own way of claiming a lease, emitting its events and retiring it;
+/// [`drain`] owns the threads, the executor call and the first-error
+/// policy.
+pub(crate) trait LeaseSource: Sync {
+    /// A claimed lease plus whatever the transport needs to retire it.
+    type Claim: Borrow<WorkLease>;
+
+    /// Block until a lease is claimable; `Ok(None)` once the source is
+    /// exhausted or closed.
+    fn claim(&self) -> Result<Option<Self::Claim>, EngineError>;
+
+    /// Deliver one event of a claimed lease.
+    fn emit(&self, claim: &Self::Claim, event: CampaignEvent) -> Result<(), EngineError>;
+
+    /// Retire a claim once its lease ran; the return value is the
+    /// lease's outcome for [`drain`].
+    fn retire(&self, _claim: Self::Claim, run: Result<(), EngineError>) -> Result<(), EngineError> {
+        run
+    }
+
+    /// Stop handing out leases: a worker thread failed.
+    fn close(&self) {}
+}
+
+/// The worker loop every lease consumer shares: up to the campaign's
+/// thread budget (`spec.jobs`, default every core; never more threads
+/// than planned leases) pull leases from `source` and run them on
+/// `executor`. Each thread runs inside a rayon pool of the same
+/// budget, so parallel work inside a lease (the Monte-Carlo trials)
+/// is capped per campaign, not process-wide. The first error closes
+/// the source; the other threads finish their current lease and stop,
+/// and that error is returned.
+pub(crate) fn drain<S: LeaseSource>(
+    source: &S,
+    executor: &LeaseExecutor<'_>,
+) -> Result<(), EngineError> {
+    let jobs = executor.spec.jobs.unwrap_or(0);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(jobs)
+        .build()
+        .map_err(|e| EngineError::spec(format!("configuring {jobs} worker(s): {e}")))?;
+    let threads = pool
+        .current_num_threads()
+        .min(executor.plan.leases().len())
+        .max(1);
+    let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
+    let fail = |e: EngineError| {
+        first_error
+            .lock()
+            .expect("first error slot")
+            .get_or_insert(e);
+        source.close();
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                pool.install(|| {
+                    while first_error.lock().expect("first error slot").is_none() {
+                        let claim = match source.claim() {
+                            Ok(Some(claim)) => claim,
+                            Ok(None) => return,
+                            Err(e) => return fail(e),
+                        };
+                        let lease: &WorkLease = claim.borrow();
+                        let run = executor.run(lease, &|ev| source.emit(&claim, ev));
+                        if let Err(e) = source.retire(claim, run) {
+                            return fail(e);
+                        }
+                    }
+                })
+            });
+        }
+    });
+    match first_error.into_inner().expect("first error slot") {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// One lease-worker session: `Hello`, [`drain`], then the session's
+/// `Telemetry` snapshot (when enabled) and `Done`. The
+/// [`InProcess`](crate::InProcess) backend (slot 0, over the
+/// coordinator's queue) and `sweep-worker --leases` (over its stdin
+/// pipe) both speak exactly this.
+pub(crate) fn serve_session<S: LeaseSource>(
+    ctx: &BackendContext<'_>,
+    slot: usize,
+    source: &S,
+    emit: &dyn Fn(CampaignEvent) -> Result<(), EngineError>,
+) -> Result<(), EngineError> {
+    let start = Instant::now();
+    if ctx.cancel.is_cancelled() {
+        return Err(EngineError::cancelled());
+    }
+    let executor = LeaseExecutor::new(ctx);
+    emit(CampaignEvent::Hello {
+        shard: slot,
+        shard_count: 0,
+        cells: 0,
+        references: 0,
+        version: Some(2),
+        jobs: ctx.spec.jobs,
+    })?;
+    drain(source, &executor)?;
+    let tel = executor.telemetry();
+    if tel.is_enabled() {
+        tel.record_span_duration("worker_shard", start.elapsed());
+        emit(CampaignEvent::Telemetry {
+            shard: slot,
+            snapshot: tel.snapshot(),
+        })?;
+    }
+    // Zero cache totals by design: the per-lease tallies already went
+    // out on `LeaseDone` events and would double-count.
+    emit(CampaignEvent::Done {
+        hits: 0,
+        misses: 0,
+        wall_s: start.elapsed().as_secs_f64(),
+    })
+}
+
+/// The in-process transport: leases come straight off the
+/// coordinator's [`LeaseQueue`] and their events go straight into the
+/// campaign merge (slot 0). A lease retires on the queue as soon as it
+/// ran; a failure (cancellation, a sink or observer error surfaced
+/// through `deliver`) is fatal — there is no crashed process to retry
+/// around.
+pub(crate) struct QueueSource<'a, 'd> {
+    pub(crate) leases: &'a LeaseQueue,
+    pub(crate) deliver: &'a Deliver<'d>,
+}
+
+impl LeaseSource for QueueSource<'_, '_> {
+    type Claim = WorkLease;
+
+    fn claim(&self) -> Result<Option<WorkLease>, EngineError> {
+        Ok(self.leases.next())
+    }
+
+    fn emit(&self, _: &WorkLease, event: CampaignEvent) -> Result<(), EngineError> {
+        (self.deliver)(0, event)
+    }
+
+    fn retire(&self, claim: WorkLease, run: Result<(), EngineError>) -> Result<(), EngineError> {
+        run?;
+        self.leases.complete(claim.lease_id);
+        Ok(())
+    }
+
+    fn close(&self) {
+        self.leases.close();
+    }
+}
+
+/// The pipe transport behind `sweep-worker --leases`: one lease per
+/// line until the coordinator closes the pipe (blank lines are
+/// keep-alives); events go to `emit` (the worker's stdout observers).
+/// The coordinator retires a lease when its `LeaseDone` arrives.
+pub(crate) struct PipeSource<'e, R> {
+    pub(crate) lines: Mutex<std::io::Lines<R>>,
+    pub(crate) worker: usize,
+    pub(crate) emit: &'e (dyn Fn(CampaignEvent) -> Result<(), EngineError> + Sync),
+}
+
+impl<R: BufRead + Send> LeaseSource for PipeSource<'_, R> {
+    type Claim = WorkLease;
+
+    fn claim(&self) -> Result<Option<WorkLease>, EngineError> {
+        let mut lines = self.lines.lock().expect("lease stream");
+        for line in lines.by_ref() {
+            let line = line.map_err(|e| EngineError::io("reading lease stream", e))?;
+            if !line.trim().is_empty() {
+                return decode_lease(&line)
+                    .map(Some)
+                    .map_err(|e| EngineError::worker(self.worker, e));
+            }
+        }
+        Ok(None)
+    }
+
+    fn emit(&self, _: &WorkLease, event: CampaignEvent) -> Result<(), EngineError> {
+        (self.emit)(event)
     }
 }
 

@@ -12,9 +12,10 @@
 //!   [`resume_report`](Campaign::resume_report), or
 //!   [`dry_run`](Campaign::dry_run).
 //! * [`ExecBackend`] — where cells execute: [`InProcess`]
-//!   (work-stealing threads) or [`MultiProcess`] (N worker processes
-//!   sharing the on-disk cache, crashed shards retried once); the
-//!   trait is the seam where a cross-host backend slots in.
+//!   (threads pulling work leases), [`MultiProcess`] (N worker
+//!   processes sharing the on-disk cache; a crashed worker's leases are
+//!   re-queued and the worker re-spawned once) or [`SharedFs`]
+//!   (workers on other hosts, coordinated through a spool directory).
 //! * [`CampaignObserver`] — one event-subscription API for progress
 //!   ([`ProgressReporter`]), custom monitors, and the distributed wire
 //!   protocol ([`CampaignEvent`] + [`WireObserver`]).
@@ -23,7 +24,7 @@
 //! * Structured [`EngineError`]s throughout (spec, I/O with paths,
 //!   cache, worker, sink-with-cell variants).
 //! * [`Telemetry`] — opt-in spans and counters over every phase
-//!   (prepare, estimate, cache probes, worker shards), merged across
+//!   (prepare, estimate, cache probes, worker sessions), merged across
 //!   backends into a deterministic [`MetricsReport`]; disabled by
 //!   default at zero cost.
 //!
@@ -80,9 +81,10 @@
 //! a [`ProgressReporter`]. The `stochdag sweep --workers N` /
 //! `sweep --spool DIR` CLI is a thin shell over exactly this.
 //!
-//! v1 `ExecBackend` implementations (static shard partitioning) keep
-//! working through the [`V1Backend`] adapter for a deprecation window
-//! — see the [`ExecBackend`] rustdoc for the v1 → v2 migration table.
+//! Every lease worker — in-process threads, a `sweep-worker --leases`
+//! process, a spool worker — runs the same drain loop, and each
+//! campaign's `jobs` is its own thread budget: concurrent campaigns in
+//! one process never share or serialize on a global cap.
 
 mod cache;
 mod campaign;
@@ -95,7 +97,6 @@ mod progress;
 mod protocol;
 mod registry;
 mod runner;
-mod shard;
 mod sink;
 mod spec;
 mod spool;
@@ -103,8 +104,8 @@ mod telemetry;
 
 pub use cache::{cell_key, CacheGcStats, CacheTier, ResultCache};
 pub use campaign::{
-    BackendContext, Campaign, CampaignBuilder, Deliver, DryRun, DryRunInstance, ExecBackend,
-    ExecBackendV1, InProcess, MultiProcess, V1Backend,
+    merge_event_streams, BackendContext, Campaign, CampaignBuilder, Deliver, DryRun,
+    DryRunInstance, ExecBackend, InProcess, MultiProcess,
 };
 pub use cancel::CancelToken;
 pub use error::EngineError;
@@ -116,8 +117,7 @@ pub use observer::{CampaignObserver, FnObserver};
 pub use progress::{ProgressMode, ProgressReporter};
 pub use protocol::{decode_event, encode_event, CampaignEvent, WireObserver};
 pub use registry::EstimatorRegistry;
-pub use runner::{ResumeEstimatorReport, ResumeReport, ShardCoverage, SweepOutcome};
-pub use shard::{merge_event_streams, shard_of, ShardOutcome};
+pub use runner::{ResumeEstimatorReport, ResumeReport, SweepOutcome};
 pub use sink::{
     summarize, CsvSink, JsonlSink, Reorderer, ResultSink, SummaryRow, SweepRow, VecSink,
 };

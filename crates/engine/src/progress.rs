@@ -58,13 +58,9 @@ pub struct ProgressReporter {
     mode: ProgressMode,
     out: Box<dyn Write + Send>,
     start: Instant,
-    /// Totals announced by a `plan` event (authoritative) or summed
-    /// from `hello` events (v1 streams without a plan).
+    /// Totals announced by the coordinator's `plan` event.
     total_cells: usize,
     total_refs: usize,
-    /// Whether a `plan` event fixed the totals — `hello` totals are
-    /// ignored from then on (lease-consuming workers announce zeros).
-    planned: bool,
     workers: usize,
     done_cells: usize,
     done_refs: usize,
@@ -88,7 +84,6 @@ impl ProgressReporter {
             start: Instant::now(),
             total_cells: 0,
             total_refs: 0,
-            planned: false,
             workers: 0,
             done_cells: 0,
             done_refs: 0,
@@ -138,19 +133,10 @@ impl ProgressReporter {
                 // The coordinator's plan is authoritative: totals are
                 // fixed up front, and the ETA extrapolates over them no
                 // matter how leases are batched across workers.
-                self.planned = true;
                 self.total_cells = *cells;
                 self.total_refs = *references;
             }
-            CampaignEvent::Hello {
-                cells, references, ..
-            } => {
-                self.workers += 1;
-                if !self.planned {
-                    self.total_cells += cells;
-                    self.total_refs += references;
-                }
-            }
+            CampaignEvent::Hello { .. } => self.workers += 1,
             CampaignEvent::Reference { cached, .. } => {
                 self.done_refs += 1;
                 self.lookups += 1;
@@ -312,17 +298,14 @@ mod tests {
     }
 
     fn feed(reporter: &mut ProgressReporter, cells: usize) {
-        reporter.observe(&CampaignEvent::Hello {
-            shard: 0,
-            shard_count: 1,
+        reporter.observe(&CampaignEvent::Plan {
             cells,
             references: 1,
-            version: None,
-            jobs: None,
+            leases: 1,
         });
         reporter.observe(&CampaignEvent::Reference {
             cached: false,
-            scenario: None,
+            scenario: Some(0),
         });
         for i in 0..cells {
             reporter.observe(&CampaignEvent::Cell {
@@ -387,13 +370,10 @@ mod tests {
     fn eta_shows_dashes_before_the_first_finished_cell() {
         let buf = SharedBuf::default();
         let mut p = ProgressReporter::new(ProgressMode::Plain, Box::new(buf.clone()));
-        p.observe(&CampaignEvent::Hello {
-            shard: 0,
-            shard_count: 1,
+        p.observe(&CampaignEvent::Plan {
             cells: 100,
             references: 1,
-            version: None,
-            jobs: None,
+            leases: 10,
         });
         let text = buf.text();
         assert!(text.contains("cells 0/100"), "{text}");
@@ -451,7 +431,7 @@ mod tests {
             .with_plain_interval(Duration::ZERO);
         feed(&mut p, 50); // 2% per cell: the 10% rule alone would skip most
         let text = buf.text();
-        // Hello + 50 cells + reference + forced finish line.
+        // Plan + 50 cells + reference + forced finish line.
         assert!(text.lines().count() >= 51, "{}", text.lines().count());
     }
 

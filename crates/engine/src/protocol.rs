@@ -2,7 +2,8 @@
 //!
 //! A campaign distributed over N processes needs no network and no
 //! shared memory: the coordinator spawns N `sweep-worker` processes,
-//! each worker executes its shard (see [`crate::shard`]) and streams
+//! each worker executes the work leases it is handed (see
+//! [`LeaseExecutor`](crate::LeaseExecutor)) and streams
 //! **line-delimited JSON events** on stdout, and the coordinator merges
 //! the streams. One event per line, one JSON object per event, tagged
 //! by an `"event"` field — trivially greppable, replayable from a log
@@ -28,9 +29,8 @@
 //! newer streams unharmed (malformed JSON and missing fields of known
 //! events are still hard errors). New optional fields on existing
 //! events (`cell.tier`, `error.kind`, `hello.version`, `hello.jobs`,
-//! `reference.scenario`) decode as `None` when absent — which is also
-//! how the leasing protocol of `ExecBackend` v2 coexists with v1
-//! streams: a v1 stream simply never carries the lease events.
+//! `reference.scenario`) decode as `None` when absent. A stream is
+//! only mergeable when it carries the coordinator's `plan`.
 //!
 //! `cell` events carry the complete [`SweepRow`], so the coordinator
 //! can re-sequence rows into deterministic cell order and write the
@@ -70,27 +70,23 @@ pub enum CampaignEvent {
         /// Number of work leases in the coordinator's ready queue.
         leases: usize,
     },
-    /// First event of a worker: it validated the spec and reports how
-    /// much work it owns (v1 sharding) or that it is ready to lease
-    /// (v2, with `cells`/`references` zero and `version: Some(2)`).
+    /// First event of a worker: it validated the spec and is ready to
+    /// lease (`cells`/`references` zero, `version: Some(2)`).
     Hello {
-        /// Shard index (v1) or worker slot (v2), 0-based.
+        /// Worker slot, 0-based.
         shard: usize,
-        /// Total shard count of the campaign (v1); `0` when the worker
-        /// leases work dynamically and peer count is unknown.
+        /// `0`: a leasing worker does not know its peer count (the
+        /// field predates leasing; the wire keeps it).
         shard_count: usize,
-        /// Estimator cells assigned to this shard (v1; `0` under
-        /// leasing, where totals come from [`CampaignEvent::Plan`]).
+        /// `0`: totals come from [`CampaignEvent::Plan`].
         cells: usize,
-        /// Monte-Carlo reference scenarios this shard needs (v1; `0`
-        /// under leasing).
+        /// `0`: totals come from [`CampaignEvent::Plan`].
         references: usize,
-        /// Protocol version the worker speaks (`None` from v1 workers,
-        /// `Some(2)` from lease-consuming workers).
+        /// Protocol version the worker speaks (`Some(2)`; `None` only in
+        /// streams written before leasing).
         version: Option<u32>,
-        /// The worker-thread cap this worker applied, from the
-        /// coordinator's `--jobs` handshake (`None` from v1 workers,
-        /// which derived `cores / worker_count` locally).
+        /// The worker's thread budget, from the coordinator's `--jobs`
+        /// handshake (`None` = every core).
         jobs: Option<usize>,
     },
     /// A worker started executing a leased cell batch.
@@ -105,9 +101,8 @@ pub enum CampaignEvent {
         /// Whether the result came from the shared cache.
         cached: bool,
         /// Global scenario index (instance-major), the coordinator's
-        /// cross-worker dedup key under leasing. `None` from v1
-        /// workers, which are deduplicated per-shard by announced
-        /// count instead.
+        /// cross-worker dedup key under leasing. `None` only in streams
+        /// written before leasing, which are never deduplicated.
         scenario: Option<usize>,
     },
     /// One estimator cell finished; carries the complete result row.
@@ -137,16 +132,18 @@ pub enum CampaignEvent {
         /// Cache misses (computed fresh).
         misses: usize,
     },
-    /// Last event of a successful shard.
+    /// Last event of a successful worker session.
     Done {
-        /// Cache hits across this shard's references + cells.
+        /// Always `0` from lease workers: cache totals arrive per lease
+        /// on [`LeaseDone`](CampaignEvent::LeaseDone).
         hits: usize,
-        /// Cache misses (computed fresh).
+        /// Always `0` from lease workers (see `hits`).
         misses: usize,
-        /// Worker wall-clock seconds for the shard.
+        /// Worker wall-clock seconds for the session.
         wall_s: f64,
     },
-    /// The shard failed; the coordinator aborts the campaign.
+    /// The worker failed; the coordinator aborts the campaign (or
+    /// re-queues the worker's leases).
     Error {
         /// Human-readable failure description.
         message: String,
@@ -155,14 +152,14 @@ pub enum CampaignEvent {
         /// coordinator can tally failures by kind.
         kind: Option<String>,
     },
-    /// A shard's telemetry aggregate, emitted just before `done` when
-    /// the campaign runs with an enabled
+    /// A worker session's telemetry aggregate, emitted just before
+    /// `done` when the campaign runs with an enabled
     /// [`Telemetry`](crate::Telemetry) collector.
     Telemetry {
-        /// Shard index (0-based), the coordinator's dedup key across
-        /// retried shards.
+        /// Worker slot (0-based), the coordinator's dedup key across
+        /// re-spawned workers.
         shard: usize,
-        /// The shard collector's final aggregates.
+        /// The session collector's final aggregates.
         snapshot: MetricsSnapshot,
     },
     /// An event this build does not understand — a newer writer's

@@ -4,9 +4,8 @@
 //!
 //! * [`expand`] — validate a [`SweepSpec`] and expand it into DAG
 //!   instances, per-instance failure models, and canonical estimator
-//!   ids. Every entry point (in-process, sharded, resume reports,
-//!   dry runs) derives the identical cell universe from this one
-//!   function.
+//!   ids. Every entry point (every backend, resume reports, dry
+//!   runs) derives the identical cell universe from this one function.
 //! * [`derive_seed`] / [`cell_index`] / [`evaluate_unit`] /
 //!   [`make_row`] — the deterministic identities and cache-first
 //!   evaluation shared by the in-process and multi-process backends;
@@ -15,10 +14,7 @@
 //! * [`resume_report_impl`] — diff a spec against the cache without
 //!   computing anything.
 //!
-//! The public entry points live on [`Campaign`](crate::Campaign); the
-//! deprecated free-function wrappers (`run_sweep`, `resume_report`,
-//! `sharded_resume_report`) that once shadowed them have been removed
-//! (see the README's migration notes).
+//! The public entry points live on [`Campaign`](crate::Campaign).
 
 use crate::cache::{cell_key, CacheTier, ResultCache};
 use crate::error::EngineError;
@@ -48,7 +44,7 @@ pub struct SweepOutcome {
     pub cache_misses: usize,
     /// Cells computed fresh (no cache tier had them). Cell-only and
     /// deduplicated by global index, so — unlike `cache_hits`, which
-    /// includes per-shard reference probes — this is invariant across
+    /// includes per-session reference probes — this is invariant across
     /// backends and worker counts.
     pub cells_computed: usize,
     /// Cells served by the in-memory cache tier (deduplicated).
@@ -122,8 +118,8 @@ pub(crate) struct Expansion {
 }
 
 /// Deterministic global index of a cell: scenario-major, estimator
-/// fastest. The single source of truth shared by the in-process runner
-/// and the shard executor — the coordinator's re-sequencing key.
+/// fastest. The single source of truth shared by the campaign plan and
+/// the lease executor — the coordinator's re-sequencing key.
 pub(crate) fn cell_index(i: usize, m: usize, e: usize, m_count: usize, e_count: usize) -> usize {
     (i * m_count + m) * e_count + e
 }
@@ -256,61 +252,6 @@ pub(crate) fn expand(
     })
 }
 
-/// RAII guard of the campaign worker-thread cap (`--jobs`).
-///
-/// `jobs = N` caps the worker threads for a campaign. Like real rayon's
-/// global pool, the cap is process-wide while it is in effect; the
-/// previous value is restored when the guard drops (on every exit
-/// path), and capped campaigns are serialized against each other so
-/// concurrent save/restore pairs cannot interleave and strand a stale
-/// cap.
-pub(crate) struct JobsCap {
-    // Declaration order matters: the cap restorer is declared first so
-    // the cap is restored (fields drop in declaration order) before the
-    // serialization lock releases and the next capped campaign may
-    // proceed.
-    _restore: Option<CapRestore>,
-    _serial: Option<std::sync::MutexGuard<'static, ()>>,
-}
-
-struct CapRestore(usize);
-
-impl Drop for CapRestore {
-    fn drop(&mut self) {
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.0)
-            .build_global();
-    }
-}
-
-static CAPPED_CAMPAIGNS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Apply a worker-thread cap for the lifetime of the returned guard
-/// (`None` = leave the pool uncapped; shared by the in-process and
-/// shard executors).
-pub(crate) fn apply_jobs_cap(jobs: Option<usize>) -> Result<JobsCap, EngineError> {
-    match jobs {
-        None => Ok(JobsCap {
-            _restore: None,
-            _serial: None,
-        }),
-        Some(jobs) => {
-            let serial = CAPPED_CAMPAIGNS
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let previous = rayon::current_thread_cap();
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(jobs)
-                .build_global()
-                .map_err(|e| EngineError::spec(format!("configuring {jobs} worker(s): {e}")))?;
-            Ok(JobsCap {
-                _restore: Some(CapRestore(previous)),
-                _serial: Some(serial),
-            })
-        }
-    }
-}
-
 /// Cache-first evaluation of one work unit against a lazily-created
 /// group preparation. On a miss, the first computed unit of the group
 /// carries the one-time preparation cost, so the summary's total_time
@@ -413,28 +354,12 @@ pub struct ResumeEstimatorReport {
     pub misses: usize,
 }
 
-/// Cache coverage of the cells one shard would own under a
-/// multi-process backend (see [`Campaign::resume_report`](crate::Campaign::resume_report)).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardCoverage {
-    /// Shard index (0-based).
-    pub shard: usize,
-    /// Assigned cells already present in the cache.
-    pub hits: usize,
-    /// Assigned cells a run would have to compute.
-    pub misses: usize,
-}
-
 /// Outcome of [`Campaign::resume_report`](crate::Campaign::resume_report): what a sweep would find in
 /// the cache, without running anything.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResumeReport {
     /// Coverage per estimator, in spec order.
     pub estimators: Vec<ResumeEstimatorReport>,
-    /// Per-shard cell coverage under the backend's worker count
-    /// (one entry per shard; a single entry covering every cell for an
-    /// in-process report).
-    pub shards: Vec<ShardCoverage>,
     /// Monte-Carlo reference scenarios already cached.
     pub reference_hits: usize,
     /// Reference scenarios a run would have to compute.
@@ -461,21 +386,12 @@ impl ResumeReport {
 /// Diff a spec against the cache: for every cell and reference the
 /// sweep would execute, probe whether its content key is already
 /// present (memory or disk), **without computing anything** and without
-/// touching the cache's counters or LRU recency. Per-cell coverage is
-/// additionally split by the shard each cell would be assigned to
-/// under `shard_count` workers (the same deterministic
-/// [`crate::shard_of`] assignment the distributed executor uses).
-/// References stay global — every shard probes the references its
-/// cells need from the shared cache.
+/// touching the cache's counters or LRU recency.
 pub(crate) fn resume_report_impl(
     spec: &SweepSpec,
     registry: &EstimatorRegistry,
     cache: &ResultCache,
-    shard_count: usize,
 ) -> Result<ResumeReport, EngineError> {
-    if shard_count == 0 {
-        return Err(EngineError::spec("shard count must be positive"));
-    }
     let Expansion {
         estimator_ids,
         instances,
@@ -487,13 +403,6 @@ pub(crate) fn resume_report_impl(
         .iter()
         .map(|(_, canonical)| ResumeEstimatorReport {
             estimator: canonical.clone(),
-            hits: 0,
-            misses: 0,
-        })
-        .collect();
-    let mut shards: Vec<ShardCoverage> = (0..shard_count)
-        .map(|shard| ShardCoverage {
-            shard,
             hits: 0,
             misses: 0,
         })
@@ -513,21 +422,16 @@ pub(crate) fn resume_report_impl(
             for (e, (_, canonical)) in estimator_ids.iter().enumerate() {
                 let unit = entry.unit(canonical);
                 let seed = derive_seed(spec.seed, hashes[i], lambda, &unit);
-                let key = cell_key(hashes[i], lambda, &unit, seed);
-                let shard = crate::shard::shard_of(&key, shard_count);
-                if cache.probe(&key) {
+                if cache.probe(&cell_key(hashes[i], lambda, &unit, seed)) {
                     estimators[e].hits += 1;
-                    shards[shard].hits += 1;
                 } else {
                     estimators[e].misses += 1;
-                    shards[shard].misses += 1;
                 }
             }
         }
     }
     Ok(ResumeReport {
         estimators,
-        shards,
         reference_hits,
         reference_misses,
     })
@@ -648,13 +552,13 @@ mod tests {
                 .unwrap()
         };
         let wide = run(&spec);
-        let cap_before = rayon::current_thread_cap();
+        let threads_before = rayon::current_num_threads();
         spec.jobs = Some(1);
         let narrow = run(&spec);
         assert_eq!(
-            rayon::current_thread_cap(),
-            cap_before,
-            "the campaign must restore the global worker cap"
+            rayon::current_num_threads(),
+            threads_before,
+            "a capped campaign must leave the caller's thread budget alone"
         );
         // Everything but the wall-clock timing must be identical.
         let values = |o: &SweepOutcome| {

@@ -334,7 +334,7 @@ impl SweepSpec {
     /// then lambdas) crossed with the scenario axis (an empty
     /// `scenarios` list counts as the single implicit i.i.d. entry).
     /// The single source of truth for every path that sizes the model
-    /// axis (plans, shards, dry runs).
+    /// axis (plans, dry runs).
     pub fn model_count(&self) -> usize {
         (self.pfails.len() + self.lambdas.len()) * self.scenarios.len().max(1)
     }

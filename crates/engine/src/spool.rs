@@ -53,18 +53,19 @@
 use crate::campaign::{BackendContext, Deliver, ExecBackend, COORDINATOR_SOURCE};
 use crate::error::EngineError;
 use crate::lease::{
-    decode_lease, encode_lease, CampaignPlan, LeaseExecutor, LeaseQueue, WorkLease,
+    decode_lease, drain, encode_lease, CampaignPlan, LeaseExecutor, LeaseQueue, LeaseSource,
+    WorkLease,
 };
 use crate::protocol::{decode_event, encode_event, CampaignEvent};
 use crate::registry::EstimatorRegistry;
-use crate::runner::apply_jobs_cap;
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
 use serde::Value;
 use std::collections::{BTreeMap, HashSet};
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -575,7 +576,7 @@ impl SpoolWorker {
         }
         let spec_text = std::fs::read_to_string(&spec_path)
             .map_err(|e| EngineError::io(format!("reading {}", spec_path.display()), e))?;
-        let spec: SweepSpec = serde::json::from_str(&spec_text)
+        let mut spec: SweepSpec = serde::json::from_str(&spec_text)
             .map_err(|e| EngineError::spec(format!("bad spool spec.json: {e}")))?;
         spec.validate()?;
         let meta = std::fs::read_to_string(self.spool.join("meta.json"))
@@ -595,10 +596,12 @@ impl SpoolWorker {
                 None => crate::cache::ResultCache::in_memory(),
             }
         };
+        // This host's thread budget (the coordinator's spec `jobs` is
+        // sized for the coordinator's machine, not this one).
         let jobs = self
             .jobs
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let _jobs_cap = apply_jobs_cap(Some(jobs))?;
+        spec.jobs = Some(jobs);
         let registry = EstimatorRegistry::standard();
         let plan = CampaignPlan::new(&spec, &registry)?;
         let telemetry = Telemetry::disabled();
@@ -629,45 +632,17 @@ impl SpoolWorker {
                 .join(format!("{}.json", self.name)),
             &registration_text,
         )?;
-        let done_leases = AtomicUsize::new(0);
-        let done_cells = AtomicUsize::new(0);
-        let stats_lock: Mutex<()> = Mutex::new(());
-        let abort: Mutex<Option<EngineError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(plan.leases().len()).max(1) {
-                let this = &self;
-                let executor = &executor;
-                let abort = &abort;
-                let done_leases = &done_leases;
-                let done_cells = &done_cells;
-                let stats_lock = &stats_lock;
-                scope.spawn(move || {
-                    while !this.stopped() && abort.lock().expect("abort slot").is_none() {
-                        let Some((lease, attempt_stem)) = this.claim_next() else {
-                            std::thread::sleep(POLL);
-                            continue;
-                        };
-                        match this.run_claim(executor, &lease, &attempt_stem) {
-                            Ok(()) => {
-                                done_leases.fetch_add(1, Ordering::Relaxed);
-                                done_cells.fetch_add(lease.cells.len(), Ordering::Relaxed);
-                                this.publish_stats(done_leases, done_cells, stats_lock);
-                            }
-                            Err(e) => {
-                                abort.lock().expect("abort slot").get_or_insert(e);
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = abort.into_inner().expect("abort slot") {
-            return Err(e);
-        }
+        let source = SpoolSource {
+            worker: &self,
+            closed: AtomicBool::new(false),
+            done_leases: AtomicUsize::new(0),
+            done_cells: AtomicUsize::new(0),
+            stats_lock: Mutex::new(()),
+        };
+        drain(&source, &executor)?;
         Ok(SpoolSummary {
-            leases: done_leases.load(Ordering::Relaxed),
-            cells: done_cells.load(Ordering::Relaxed),
+            leases: source.done_leases.into_inner(),
+            cells: source.done_cells.into_inner(),
         })
     }
 
@@ -723,46 +698,111 @@ impl SpoolWorker {
         }
         None
     }
+}
 
-    /// Execute one claimed lease, streaming its events to a tmp file
-    /// published atomically at the end — with an `Error` tail when the
-    /// attempt failed, so the coordinator re-queues promptly instead of
-    /// waiting out the stale-claim timeout.
-    fn run_claim(
+/// One claimed spool lease: the lease, its attempt's file stem, and
+/// the tmp event stream the attempt writes before publishing it.
+struct SpoolClaim {
+    lease: WorkLease,
+    stem: String,
+    tmp: PathBuf,
+    out: Mutex<BufWriter<File>>,
+}
+
+impl std::borrow::Borrow<WorkLease> for SpoolClaim {
+    fn borrow(&self) -> &WorkLease {
+        &self.lease
+    }
+}
+
+/// The spool transport of a [`SpoolWorker`]: claims leases by renaming
+/// `leases/open/ → claimed/` (polling every 50 ms until the
+/// coordinator writes `stop`), writes each attempt's events to a tmp
+/// file, and retires an attempt by publishing that file atomically to
+/// `events/` — with an `Error` tail when the attempt failed, so the
+/// coordinator re-queues promptly instead of waiting out the
+/// stale-claim timeout — and then its cumulative `stats/{name}.json`.
+struct SpoolSource<'w> {
+    worker: &'w SpoolWorker,
+    closed: AtomicBool,
+    done_leases: AtomicUsize,
+    done_cells: AtomicUsize,
+    stats_lock: Mutex<()>,
+}
+
+impl LeaseSource for SpoolSource<'_> {
+    type Claim = SpoolClaim;
+
+    fn claim(&self) -> Result<Option<SpoolClaim>, EngineError> {
+        loop {
+            if self.closed.load(Ordering::Relaxed) || self.worker.stopped() {
+                return Ok(None);
+            }
+            let Some((lease, stem)) = self.worker.claim_next() else {
+                std::thread::sleep(POLL);
+                continue;
+            };
+            let tmp = self
+                .worker
+                .spool
+                .join("events")
+                .join(format!("{stem}.jsonl.tmp.{}", std::process::id()));
+            let file = File::create(&tmp)
+                .map_err(|e| EngineError::io(format!("creating {}", tmp.display()), e))?;
+            return Ok(Some(SpoolClaim {
+                lease,
+                stem,
+                tmp,
+                out: Mutex::new(BufWriter::new(file)),
+            }));
+        }
+    }
+
+    fn emit(&self, claim: &SpoolClaim, event: CampaignEvent) -> Result<(), EngineError> {
+        let mut out = claim.out.lock().expect("event stream");
+        writeln!(out, "{}", encode_event(&event))
+            .map_err(|e| EngineError::io("writing spool event stream", e))
+    }
+
+    fn retire(
         &self,
-        executor: &LeaseExecutor<'_>,
-        lease: &WorkLease,
-        stem: &str,
+        claim: SpoolClaim,
+        result: Result<(), EngineError>,
     ) -> Result<(), EngineError> {
-        let final_path = self.spool.join("events").join(format!("{stem}.jsonl"));
-        let tmp = final_path.with_extension(format!("jsonl.tmp.{}", std::process::id()));
-        let file = std::fs::File::create(&tmp)
-            .map_err(|e| EngineError::io(format!("creating {}", tmp.display()), e))?;
-        let out = Mutex::new(std::io::BufWriter::new(file));
-        let emit = |ev: CampaignEvent| -> Result<(), EngineError> {
-            let mut out = out.lock().expect("event stream");
-            writeln!(out, "{}", encode_event(&ev))
-                .map_err(|e| EngineError::io("writing spool event stream", e))
-        };
-        let run = executor.run(lease, &emit);
-        if let Err(e) = &run {
-            let _ = emit(CampaignEvent::Error {
-                message: e.to_string(),
-                kind: Some(e.kind().to_string()),
-            });
+        if let Err(e) = &result {
+            let _ = self.emit(
+                &claim,
+                CampaignEvent::Error {
+                    message: e.to_string(),
+                    kind: Some(e.kind().to_string()),
+                },
+            );
         }
-        {
-            let mut out = out.lock().expect("event stream");
-            out.flush()
-                .map_err(|e| EngineError::io("flushing spool event stream", e))?;
-        }
-        std::fs::rename(&tmp, &final_path)
+        claim
+            .out
+            .into_inner()
+            .expect("event stream")
+            .flush()
+            .map_err(|e| EngineError::io("flushing spool event stream", e))?;
+        let spool = &self.worker.spool;
+        let final_path = spool.join("events").join(format!("{}.jsonl", claim.stem));
+        std::fs::rename(&claim.tmp, &final_path)
             .map_err(|e| EngineError::io(format!("publishing {}", final_path.display()), e))?;
         let _ = std::fs::remove_file(
-            self.spool
+            spool
                 .join("leases/claimed")
-                .join(format!("{stem}.json")),
+                .join(format!("{}.json", claim.stem)),
         );
-        run
+        result?;
+        self.done_leases.fetch_add(1, Ordering::Relaxed);
+        self.done_cells
+            .fetch_add(claim.lease.cells.len(), Ordering::Relaxed);
+        self.worker
+            .publish_stats(&self.done_leases, &self.done_cells, &self.stats_lock);
+        Ok(())
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::Relaxed);
     }
 }

@@ -1,7 +1,10 @@
 //! Integration coverage of the [`Campaign`] facade: builder wiring,
 //! cache-replay byte identity, dry runs, resume reports, observers,
-//! and the worker half.
+//! thread budgets and the shared cache.
 
+mod common;
+
+use common::SharedBuf;
 use std::sync::{Arc, Mutex};
 use stochdag_engine::{
     decode_event, Campaign, CampaignEvent, CsvSink, EngineError, EstimatorSpec, FnObserver,
@@ -28,26 +31,6 @@ depth = 2
 "#,
     )
     .unwrap()
-}
-
-/// `Write` handle whose buffer outlives the boxed writer inside a sink.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn bytes(&self) -> Vec<u8> {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 #[test]
@@ -98,15 +81,21 @@ fn dry_run_expands_without_executing() {
     assert_eq!(dry.models, 2);
     assert_eq!(dry.cells, 18);
     assert_eq!(dry.references, 6);
-    assert_eq!(dry.shard_cells, vec![18], "one in-process shard");
 
-    let sharded = Campaign::builder(campaign_spec())
+    // Leases assign work dynamically, so a multi-process dry run shows
+    // the same expansion under its own backend name.
+    let distributed = Campaign::builder(campaign_spec())
         .backend(MultiProcess::new(3))
         .build()
+        .unwrap()
+        .dry_run()
         .unwrap();
-    let dry = sharded.dry_run().unwrap();
-    assert_eq!(dry.shard_cells.len(), 3);
-    assert_eq!(dry.shard_cells.iter().sum::<usize>(), 18);
+    assert_eq!(distributed.backend, "multi-process (3 workers)");
+    assert_eq!(
+        (distributed.cells, distributed.references),
+        (dry.cells, dry.references)
+    );
+    assert_eq!(distributed.instances, dry.instances);
 
     // Nothing ran: a fresh resume report still sees zero cached cells.
     let report = campaign.resume_report().unwrap();
@@ -114,23 +103,28 @@ fn dry_run_expands_without_executing() {
 }
 
 #[test]
-fn resume_report_follows_the_backend_worker_count() {
+fn resume_report_is_the_same_under_every_backend() {
     let cache = Arc::new(ResultCache::in_memory());
     let run = Campaign::builder(campaign_spec())
         .cache(cache.clone())
         .build()
         .unwrap();
+    let in_process = run.resume_report().unwrap();
     run.run().unwrap();
 
-    let sharded = Campaign::builder(campaign_spec())
+    let distributed = Campaign::builder(campaign_spec())
         .cache(cache.clone())
         .backend(MultiProcess::new(2))
         .build()
         .unwrap();
-    let report = sharded.resume_report().unwrap();
+    let report = distributed.resume_report().unwrap();
     assert!(report.fully_cached());
-    assert_eq!(report.shards.len(), 2, "per-shard split under workers=2");
-    assert_eq!(report.shards.iter().map(|s| s.hits).sum::<usize>(), 18);
+    assert_eq!(report.estimators.iter().map(|e| e.hits).sum::<usize>(), 18);
+    assert_eq!(
+        report.total_hits(),
+        in_process.total_misses(),
+        "everything the in-process report saw missing is now cached"
+    );
 }
 
 #[test]
@@ -169,30 +163,105 @@ fn observers_see_the_full_event_stream() {
 }
 
 #[test]
-fn run_shard_streams_the_wire_protocol_through_observers() {
+fn run_streams_the_wire_protocol_through_observers() {
     let buf = SharedBuf::default();
     let outcome = Campaign::builder(campaign_spec())
         .observer(WireObserver::new(buf.clone()))
         .build()
         .unwrap()
-        .run_shard(0, 2)
+        .run()
         .unwrap();
-    assert_eq!(outcome.shard, 0);
-    assert_eq!(outcome.shard_count, 2);
-    assert!(outcome.cells > 0 && outcome.cells < 18, "a proper subset");
+    assert_eq!(outcome.cells, 18);
 
     let text = String::from_utf8(buf.bytes()).unwrap();
     let events: Vec<CampaignEvent> = text
         .lines()
         .map(|l| decode_event(l).unwrap_or_else(|e| panic!("{e}")))
         .collect();
-    assert!(matches!(events.first(), Some(CampaignEvent::Hello { .. })));
+    assert!(matches!(events.first(), Some(CampaignEvent::Plan { .. })));
+    match events.get(1) {
+        Some(CampaignEvent::Hello { shard, version, .. }) => {
+            assert_eq!((*shard, *version), (0, Some(2)), "in-process slot 0, v2");
+        }
+        other => panic!("expected hello second, got {other:?}"),
+    }
     assert!(matches!(events.last(), Some(CampaignEvent::Done { .. })));
     let cells = events
         .iter()
         .filter(|e| matches!(e, CampaignEvent::Cell { .. }))
         .count();
     assert_eq!(cells, outcome.cells);
+}
+
+#[test]
+fn capped_campaigns_run_concurrently() {
+    // Two `jobs = 1` campaigns in one process: each observer, on its
+    // campaign's first cell, signals the other and then waits for the
+    // other's signal. That only succeeds if both campaigns are running
+    // at the same time — a process-wide cap that serialized capped
+    // campaigns would time the first one out.
+    let (to_b, from_a) = std::sync::mpsc::channel::<()>();
+    let (to_a, from_b) = std::sync::mpsc::channel::<()>();
+    let campaign = |signal: std::sync::mpsc::Sender<()>, wait: std::sync::mpsc::Receiver<()>| {
+        let met = Arc::new(Mutex::new(None::<bool>));
+        let seen = met.clone();
+        let mut spec = campaign_spec();
+        spec.jobs = Some(1);
+        let run = Campaign::builder(spec)
+            .observer(FnObserver(move |ev: &CampaignEvent| {
+                let mut seen = seen.lock().unwrap();
+                if seen.is_none() && matches!(ev, CampaignEvent::Cell { .. }) {
+                    let _ = signal.send(());
+                    let peer = wait.recv_timeout(std::time::Duration::from_secs(10));
+                    *seen = Some(peer.is_ok());
+                }
+            }))
+            .build()
+            .unwrap();
+        (run, met)
+    };
+    let (a, met_a) = campaign(to_b, from_b);
+    let (b, met_b) = campaign(to_a, from_a);
+    std::thread::scope(|s| {
+        let a = s.spawn(|| a.run().unwrap());
+        let b = s.spawn(|| b.run().unwrap());
+        assert_eq!(a.join().unwrap().cells, 18);
+        assert_eq!(b.join().unwrap().cells, 18);
+    });
+    assert_eq!(
+        *met_a.lock().unwrap(),
+        Some(true),
+        "campaign A met B mid-run"
+    );
+    assert_eq!(
+        *met_b.lock().unwrap(),
+        Some(true),
+        "campaign B met A mid-run"
+    );
+}
+
+#[test]
+fn shared_cache_counters_accumulate_across_campaigns() {
+    // `ResultCache::hits`/`misses` count since construction: a campaign
+    // must not reset them for everyone else sharing the cache.
+    let cache = Arc::new(ResultCache::in_memory());
+    let run = |spec: SweepSpec| {
+        Campaign::builder(spec)
+            .cache(cache.clone())
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+    };
+    let first = run(campaign_spec());
+    let mut wider = campaign_spec();
+    wider.pfails.push(0.005);
+    let second = run(wider);
+    assert!(first.cache_misses > 0 && second.cache_hits > 0);
+    assert_eq!(
+        cache.hits() + cache.misses(),
+        first.cache_hits + first.cache_misses + second.cache_hits + second.cache_misses
+    );
 }
 
 #[test]

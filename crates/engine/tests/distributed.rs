@@ -1,19 +1,20 @@
-//! Distributed execution invariants, exercised in-process: the shard
-//! partition is deterministic and exhaustive, worker shards sharing a
-//! disk cache jointly compute exactly what a single-process run would,
-//! and the coordinator's merge of replayed event streams is
-//! byte-identical to the single-process sink output.
-//!
-//! Exercises the campaign-facade entry points end to end:
-//! [`Campaign::run_shard`] for the worker half and
-//! [`merge_event_streams`] for replayed coordinator merges.
+//! Distributed execution invariants, exercised in-process: a leased
+//! campaign's event stream — captured with an observer on
+//! [`Campaign::run`], exactly what `serve` streams to its clients —
+//! covers every planned cell and lease exactly once, replaying it
+//! sharded across several readers through [`merge_event_streams`] is
+//! byte-identical to the single-process sink output, and broken or
+//! plan-less streams are rejected.
 
+mod common;
+
+use common::{capture_lines, merge_csv, shard_by_lease, SharedBuf};
 use std::io::Cursor;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use stochdag_engine::{
-    decode_event, encode_event, merge_event_streams, shard_of, Campaign, CampaignEvent, CsvSink,
-    FnObserver, MultiProcess, ProgressReporter, ResultCache, ResultSink, SweepSpec,
+    decode_event, encode_event, merge_event_streams, Campaign, CampaignEvent, CsvSink,
+    MultiProcess, ProgressReporter, ResultCache, ResultSink, SweepSpec,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -45,97 +46,28 @@ depth = 2
     .unwrap()
 }
 
-/// A cloneable in-memory writer, so CSV bytes survive the campaign
-/// consuming its sinks.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn bytes(&self) -> Vec<u8> {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Run one shard through the campaign facade, collecting its protocol
-/// lines (as a worker's stdout would carry them).
-fn shard_lines(spec: &SweepSpec, cache_dir: &PathBuf, shard: usize, of: usize) -> Vec<String> {
-    let lines = Arc::new(Mutex::new(Vec::new()));
-    let sink = lines.clone();
-    Campaign::builder(spec.clone())
-        .cache(Arc::new(ResultCache::on_disk(cache_dir)))
-        .observer(FnObserver(move |ev: &CampaignEvent| {
-            sink.lock().unwrap().push(encode_event(ev));
-        }))
-        .build()
-        .unwrap()
-        .run_shard(shard, of)
-        .unwrap();
-    let out = lines.lock().unwrap().clone();
-    out
-}
-
-fn csv_of_merge(streams: Vec<Vec<String>>) -> (Vec<u8>, stochdag_engine::SweepOutcome) {
-    let readers: Vec<Cursor<Vec<u8>>> = streams
-        .into_iter()
-        .map(|lines| Cursor::new((lines.join("\n") + "\n").into_bytes()))
-        .collect();
-    let mut csv = CsvSink::new(Vec::new());
-    let outcome = {
-        let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut csv];
-        merge_event_streams(readers, &mut sinks, &mut ProgressReporter::disabled()).unwrap()
-    };
-    (csv.into_inner(), outcome)
-}
-
-#[test]
-fn shard_assignment_is_deterministic_and_partitions() {
-    let keys: Vec<String> = (0..97).map(|i| format!("{i:032x}")).collect();
-    for n in [1, 2, 4, 7] {
-        let mut counts = vec![0usize; n];
-        for k in &keys {
-            let s = shard_of(k, n);
-            assert_eq!(s, shard_of(k, n), "deterministic");
-            assert!(s < n);
-            counts[s] += 1;
-        }
-        assert_eq!(counts.iter().sum::<usize>(), keys.len(), "partition");
-        if n > 1 {
-            assert!(
-                counts.iter().all(|&c| c > 0),
-                "balanced enough that no shard starves: {counts:?}"
-            );
-        }
-    }
+/// A captured leased run over a shared disk cache (see
+/// [`common::capture_lines`]).
+fn campaign_lines(spec: &SweepSpec, cache_dir: &PathBuf) -> Vec<String> {
+    capture_lines(Campaign::builder(spec.clone()).cache(Arc::new(ResultCache::on_disk(cache_dir))))
 }
 
 #[test]
 fn shards_jointly_match_single_process_byte_for_byte() {
     let spec = campaign();
 
-    for workers in [1usize, 2, 4] {
-        let dir = scratch(&format!("w{workers}"));
+    for shards in [1usize, 2, 4] {
+        let dir = scratch(&format!("w{shards}"));
         let cache_dir = dir.join("cache");
 
-        // Distributed fresh run: each "process" is a fresh ResultCache
-        // over the shared directory, executed shard by shard.
-        let streams: Vec<Vec<String>> = (0..workers)
-            .map(|s| shard_lines(&spec, &cache_dir, s, workers))
-            .collect();
-        let (merged_csv, merged) = csv_of_merge(streams);
+        // Fresh leased run over the shared directory, its stream
+        // replayed as `shards` worker-like streams.
+        let lines = campaign_lines(&spec, &cache_dir);
+        let (merged_csv, merged) = merge_csv(shard_by_lease(&lines, shards));
         assert_eq!(merged.cells, 18, "3 DAGs x 2 pfails x 3 estimators");
 
         // Single-process run over the same cache: must be fully served
-        // from what the shards stored, with identical bytes.
+        // from what the captured run stored, with identical bytes.
         let buf = SharedBuf::default();
         let single = Campaign::builder(spec.clone())
             .cache(Arc::new(ResultCache::on_disk(&cache_dir)))
@@ -146,7 +78,7 @@ fn shards_jointly_match_single_process_byte_for_byte() {
             .unwrap();
         assert!(
             single.fully_cached(),
-            "{workers} shard(s) must have computed every work unit ({} misses)",
+            "the captured run must have computed every work unit ({} misses)",
             single.cache_misses
         );
         assert_eq!(merged.rows, single.rows, "merged rows = single rows");
@@ -160,32 +92,53 @@ fn shard_streams_cover_every_cell_exactly_once() {
     let spec = campaign();
     let dir = scratch("cover");
     let cache_dir = dir.join("cache");
+    let lines = campaign_lines(&spec, &cache_dir);
     let mut seen = std::collections::BTreeSet::new();
-    let mut hello_cells = 0usize;
-    for s in 0..3 {
-        let lines = shard_lines(&spec, &cache_dir, s, 3);
-        let events: Vec<CampaignEvent> = lines.iter().map(|l| decode_event(l).unwrap()).collect();
-        assert!(
-            matches!(events.first(), Some(CampaignEvent::Hello { .. })),
-            "hello first"
-        );
-        assert!(
-            matches!(events.last(), Some(CampaignEvent::Done { .. })),
-            "done last"
-        );
+    let mut started = std::collections::BTreeSet::new();
+    let mut done = std::collections::BTreeSet::new();
+    let mut plan_cells = 0usize;
+    let mut plan_leases = 0usize;
+    for (s, stream) in shard_by_lease(&lines, 3).into_iter().enumerate() {
+        let events: Vec<CampaignEvent> = stream.iter().map(|l| decode_event(l).unwrap()).collect();
+        if s == 0 {
+            assert!(
+                matches!(events.first(), Some(CampaignEvent::Plan { .. })),
+                "plan first"
+            );
+            assert!(
+                matches!(events.get(1), Some(CampaignEvent::Hello { .. })),
+                "hello second"
+            );
+            assert!(
+                matches!(events.last(), Some(CampaignEvent::Done { .. })),
+                "done last"
+            );
+        }
         for ev in events {
             match ev {
-                CampaignEvent::Hello { cells, .. } => hello_cells += cells,
+                CampaignEvent::Plan { cells, leases, .. } => {
+                    plan_cells += cells;
+                    plan_leases += leases;
+                }
+                CampaignEvent::LeaseStart { lease_id, .. } => {
+                    assert!(started.insert(lease_id), "lease {lease_id} started twice");
+                }
+                CampaignEvent::LeaseDone { lease_id, .. } => {
+                    assert!(done.insert(lease_id), "lease {lease_id} done twice");
+                }
                 CampaignEvent::Cell { index, .. } => {
-                    assert!(seen.insert(index), "cell {index} owned by two shards");
+                    assert!(seen.insert(index), "cell {index} in two shards");
                 }
                 _ => {}
             }
         }
     }
     assert_eq!(seen.len(), 18, "union of shards covers the campaign");
-    assert_eq!(hello_cells, 18);
+    assert_eq!(plan_cells, 18);
     assert_eq!(*seen.iter().next_back().unwrap(), 17, "contiguous indices");
+    assert_eq!(plan_leases, 9, "one lease per instance x estimator");
+    assert_eq!(started, done, "every started lease finished");
+    assert_eq!(done.len(), plan_leases);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -194,7 +147,7 @@ fn coordinator_rejects_broken_streams() {
     let spec = campaign();
     let dir = scratch("broken");
     let cache_dir = dir.join("cache");
-    let good = shard_lines(&spec, &cache_dir, 0, 1);
+    let good = campaign_lines(&spec, &cache_dir);
 
     let run = |streams: Vec<Vec<String>>| {
         let readers: Vec<Cursor<Vec<u8>>> = streams
@@ -204,8 +157,9 @@ fn coordinator_rejects_broken_streams() {
         let mut sinks: Vec<&mut dyn ResultSink> = vec![];
         merge_event_streams(readers, &mut sinks, &mut ProgressReporter::disabled())
     };
+    assert!(run(vec![good.clone()]).is_ok(), "the intact stream merges");
 
-    // A stream that ends before its `done` event (crashed worker).
+    // A stream that ends before its last `lease_done` (crashed worker).
     let truncated = good[..good.len() - 2].to_vec();
     let err = run(vec![truncated]).unwrap_err();
     assert!(err.to_string().contains("worker"), "{err}");
@@ -214,12 +168,12 @@ fn coordinator_rejects_broken_streams() {
     let failed = vec![
         good[0].clone(),
         encode_event(&CampaignEvent::Error {
-            message: "shard exploded".into(),
+            message: "worker exploded".into(),
             kind: Some("worker".into()),
         }),
     ];
     let err = run(vec![failed]).unwrap_err();
-    assert!(err.to_string().contains("shard exploded"), "{err}");
+    assert!(err.to_string().contains("worker exploded"), "{err}");
 
     // Garbage on the wire is a hard protocol error.
     let garbage = vec![good[0].clone(), "{not an event".into()];
@@ -229,15 +183,30 @@ fn coordinator_rejects_broken_streams() {
     // No workers at all is refused.
     let err = run(vec![]).unwrap_err();
     assert!(err.to_string().contains("at least one worker"), "{err}");
+
+    // A stream without the coordinator's plan is not a leased
+    // campaign stream: rejected with a structured worker error even
+    // though every cell is present.
+    let planless: Vec<String> = good
+        .iter()
+        .filter(|l| !matches!(decode_event(l), Ok(CampaignEvent::Plan { .. })))
+        .cloned()
+        .collect();
+    let err = run(vec![planless]).unwrap_err();
+    assert!(
+        matches!(err, stochdag_engine::EngineError::Worker { .. }),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("plan"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn sharded_resume_report_splits_cells_by_shard() {
+fn resume_report_under_workers_counts_cells_per_estimator() {
     let spec = campaign();
     let dir = scratch("resume");
     let cache = Arc::new(ResultCache::on_disk(dir.join("cache")));
-    let sharded = |spec: &SweepSpec| {
+    let distributed = |spec: &SweepSpec| {
         Campaign::builder(spec.clone())
             .cache(cache.clone())
             .backend(MultiProcess::new(2))
@@ -245,31 +214,34 @@ fn sharded_resume_report_splits_cells_by_shard() {
             .unwrap()
     };
 
-    let fresh = sharded(&spec).resume_report().unwrap();
-    assert_eq!(fresh.shards.len(), 2);
+    let fresh = distributed(&spec).resume_report().unwrap();
+    assert_eq!(fresh.estimators.len(), 3);
     assert_eq!(
-        fresh.shards.iter().map(|s| s.misses).sum::<usize>(),
+        fresh.estimators.iter().map(|e| e.misses).sum::<usize>(),
         18,
-        "shard misses partition the cells"
+        "estimator misses partition the cells"
     );
-    assert!(fresh.shards.iter().all(|s| s.hits == 0));
+    assert!(fresh.estimators.iter().all(|e| e.hits == 0));
 
-    // Compute shard 0 only, then the report shows exactly that shard
-    // as cached and shard 1 as pending.
-    let shard0 = Campaign::builder(spec.clone())
+    // Compute the first-order cells only, then the report shows exactly
+    // that estimator as cached and the others as pending.
+    let mut first_order = spec.clone();
+    first_order.estimators.truncate(1);
+    let part = Campaign::builder(first_order)
         .cache(cache.clone())
         .build()
         .unwrap()
-        .run_shard(0, 2)
+        .run()
         .unwrap();
-    let after = sharded(&spec).resume_report().unwrap();
-    assert_eq!(after.shards[0].hits, shard0.cells);
-    assert_eq!(after.shards[0].misses, 0);
-    assert_eq!(after.shards[1].hits, 0);
-    assert_eq!(after.shards[1].misses, 18 - shard0.cells);
+    let after = distributed(&spec).resume_report().unwrap();
+    assert_eq!(after.estimators[0].hits, part.cells);
+    assert_eq!(after.estimators[0].misses, 0);
+    for e in &after.estimators[1..] {
+        assert_eq!((e.hits, e.misses), (0, 6), "{}", e.estimator);
+    }
     assert_eq!(
-        after.reference_hits, shard0.references,
-        "shard 0 cached the references it needed"
+        after.reference_hits, part.references,
+        "the partial run cached the references its cells needed"
     );
 
     // A zero-worker backend is rejected before any filesystem work.

@@ -8,10 +8,13 @@
 //! [`LeaseQueue`]/[`LeaseExecutor`] seam, exactly as an embedder
 //! writing their own distribution layer would.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use common::SharedBuf;
 use proptest::prelude::*;
 use stochdag_engine::{
     decode_event, decode_lease, encode_event, encode_lease, BackendContext, Campaign,
@@ -33,27 +36,6 @@ fn spec(name: &str) -> SweepSpec {
         "#
     ))
     .unwrap()
-}
-
-/// A cloneable in-memory writer, so CSV bytes survive the campaign
-/// consuming its sinks.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn bytes(&self) -> Vec<u8> {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 /// Reference output: the same spec under the default in-process

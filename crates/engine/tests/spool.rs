@@ -5,10 +5,13 @@
 //! be byte-identical to a single-process run over the same cache —
 //! including when a claim goes stale and the coordinator re-queues it.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use common::SharedBuf;
 use stochdag_engine::{
     Campaign, CampaignEvent, CsvSink, FnObserver, ResultCache, SharedFs, SpoolWorker, SweepSpec,
 };
@@ -34,27 +37,6 @@ fn spec(name: &str) -> SweepSpec {
         "#
     ))
     .unwrap()
-}
-
-/// A cloneable in-memory writer, so CSV bytes survive the campaign
-/// consuming its sinks.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn bytes(&self) -> Vec<u8> {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 #[test]

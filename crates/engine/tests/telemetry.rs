@@ -4,8 +4,11 @@
 //! the stream-merge replay path (`merge_event_streams`) tolerates
 //! newer event vocabularies.
 
+mod common;
+
+use common::SharedBuf;
 use std::io::Cursor;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use stochdag_engine::{
     decode_event, Campaign, CampaignEvent, ProgressReporter, ResultCache, ResultSink, SweepSpec,
     Telemetry, VecSink, WireObserver,
@@ -33,27 +36,6 @@ ks = [2, 3, 4]
 "#,
     )
     .unwrap()
-}
-
-/// `Write` handle whose buffer outlives the boxed writer inside an
-/// observer.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn text(&self) -> String {
-        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
-    }
-}
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 fn run_with(telemetry: &Telemetry, cache: &Arc<ResultCache>) -> stochdag_engine::SweepOutcome {
@@ -126,7 +108,7 @@ fn second_run_over_a_shared_cache_is_all_memory_tier() {
 
 #[test]
 fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
-    let run_shard = |telemetry: Telemetry| {
+    let capture = |telemetry: Telemetry| {
         let buf = SharedBuf::default();
         Campaign::builder(campaign_spec())
             .cache(Arc::new(ResultCache::in_memory()))
@@ -134,7 +116,7 @@ fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
             .observer(WireObserver::new(buf.clone()))
             .build()
             .unwrap()
-            .run_shard(0, 1)
+            .run()
             .unwrap();
         buf.text()
             .lines()
@@ -142,9 +124,8 @@ fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
             .collect::<Vec<_>>()
     };
 
-    // Disabled (the default): the wire stream is exactly the PR-4
-    // protocol — no telemetry event at all.
-    let events = run_shard(Telemetry::disabled());
+    // Disabled (the default): no telemetry event at all.
+    let events = capture(Telemetry::disabled());
     assert!(
         !events
             .iter()
@@ -153,8 +134,8 @@ fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
     );
 
     // Enabled: exactly one snapshot, just before `done`, with the
-    // shard's collected spans and counters.
-    let events = run_shard(Telemetry::enabled());
+    // session's collected spans and counters.
+    let events = capture(Telemetry::enabled());
     let telemetry_events: Vec<_> = events
         .iter()
         .filter(|e| matches!(e, CampaignEvent::Telemetry { .. }))
@@ -168,12 +149,12 @@ fn wire_stream_carries_one_telemetry_event_only_when_enabled() {
         panic!("telemetry event rides immediately before done");
     };
     assert_eq!(*shard, 0);
-    assert!(!snapshot.is_empty(), "snapshot carries the shard's data");
+    assert!(!snapshot.is_empty(), "snapshot carries the session's data");
 }
 
 #[test]
 fn stream_merge_replays_telemetry_and_unknown_events() {
-    // Capture a real shard stream with telemetry enabled…
+    // Capture a real campaign stream with telemetry enabled…
     let buf = SharedBuf::default();
     Campaign::builder(campaign_spec())
         .cache(Arc::new(ResultCache::in_memory()))
@@ -181,7 +162,7 @@ fn stream_merge_replays_telemetry_and_unknown_events() {
         .observer(WireObserver::new(buf.clone()))
         .build()
         .unwrap()
-        .run_shard(0, 1)
+        .run()
         .unwrap();
     let mut lines: Vec<String> = buf.text().lines().map(str::to_string).collect();
     assert!(

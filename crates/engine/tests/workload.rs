@@ -3,13 +3,12 @@
 //! correlated-failure scenario axis, content-addressed trace cache
 //! keys, and the i.i.d. byte-compatibility guarantee.
 
-use std::io::Cursor;
+mod common;
+
+use common::{capture_lines, merge_csv, shard_by_lease, SharedBuf};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-use stochdag_engine::{
-    encode_event, merge_event_streams, Campaign, CampaignEvent, CsvSink, FnObserver,
-    ProgressReporter, ResultCache, ResultSink, SweepSpec, VecSink,
-};
+use std::sync::Arc;
+use stochdag_engine::{Campaign, CsvSink, ResultCache, SweepSpec, VecSink};
 
 fn fixture(name: &str) -> String {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -43,27 +42,6 @@ path = "{}"
         fixture("epigenomics-sample.json"),
     ))
     .unwrap()
-}
-
-/// A cloneable in-memory writer, so CSV bytes survive the campaign
-/// consuming its sinks.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn bytes(&self) -> Vec<u8> {
-        self.0.lock().unwrap().clone()
-    }
-}
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 #[test]
@@ -247,36 +225,18 @@ fn scenario_shards_match_in_process_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache_dir = dir.join("cache");
 
-    // Worker half: each shard is a fresh process-like cache handle
-    // over the shared directory, its event stream captured as a worker
-    // process's stdout would carry it.
-    let streams: Vec<Vec<String>> = (0..2)
-        .map(|shard| {
-            let lines = Arc::new(Mutex::new(Vec::new()));
-            let sink = lines.clone();
-            Campaign::builder(spec.clone())
-                .cache(Arc::new(ResultCache::on_disk(&cache_dir)))
-                .observer(FnObserver(move |ev: &CampaignEvent| {
-                    sink.lock().unwrap().push(encode_event(ev));
-                }))
-                .build()
-                .unwrap()
-                .run_shard(shard, 2)
-                .unwrap();
-            let out = lines.lock().unwrap().clone();
-            out
-        })
-        .collect();
-    let readers: Vec<Cursor<Vec<u8>>> = streams
-        .into_iter()
-        .map(|lines| Cursor::new((lines.join("\n") + "\n").into_bytes()))
-        .collect();
-    let mut csv = CsvSink::new(Vec::new());
-    let merged = {
-        let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut csv];
-        merge_event_streams(readers, &mut sinks, &mut ProgressReporter::disabled()).unwrap()
-    };
-    let merged_csv = csv.into_inner();
+    // Worker half: a leased run over the shared directory, its event
+    // stream captured as `serve` would stream it and replayed as two
+    // shards.
+    let lines = capture_lines(
+        Campaign::builder(spec.clone()).cache(Arc::new(ResultCache::on_disk(&cache_dir))),
+    );
+    let streams = shard_by_lease(&lines, 2);
+    assert!(
+        streams.iter().all(|s| s.len() > 1),
+        "both shards carry leases"
+    );
+    let (merged_csv, merged) = merge_csv(streams);
     assert_eq!(merged.cells, 8);
 
     // Coordinator half: a single-process run over the same cache must

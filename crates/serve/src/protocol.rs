@@ -99,9 +99,7 @@ impl Deserialize for BackendChoice {
 /// One client request (see the module table).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Submit a campaign spec for execution. The server clears the
-    /// spec's `jobs` cap (per-campaign thread caps would serialize
-    /// concurrent campaigns process-wide); admission control and the
+    /// Submit a campaign spec for execution. Admission control and the
     /// per-campaign cell quota apply before the campaign is queued.
     Submit {
         /// The campaign to run (same spec model as `sweep --spec`).

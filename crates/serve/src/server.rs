@@ -430,7 +430,7 @@ impl Server {
 
 impl Inner {
     /// Admission path shared by `submit` and `resume`.
-    fn submit(&self, mut spec: SweepSpec, backend: BackendChoice) -> Response {
+    fn submit(&self, spec: SweepSpec, backend: BackendChoice) -> Response {
         if self.stop.load(Ordering::Relaxed) != RUN {
             self.admission_rejected.fetch_add(1, Ordering::Relaxed);
             self.telemetry.count("serve.admission_rejected", 1);
@@ -439,10 +439,6 @@ impl Inner {
                 message: "server is shutting down".into(),
             };
         }
-        // A per-spec jobs cap serializes capped campaigns process-wide
-        // (the engine guards them with a global mutex), which would
-        // defeat the whole point of a multiplexing service — strip it.
-        spec.jobs = None;
         // Reject malformed backend choices before admission, with the
         // same structured kind a bad spec would get.
         match &backend {

@@ -12,11 +12,14 @@
 //! are deterministic regardless of thread interleaving — the property
 //! the Monte-Carlo and scheduling statistics rely on.
 //!
-//! [`ThreadPoolBuilder`] mirrors rayon's global pool configuration as a
-//! process-wide worker cap (the `--jobs` knob of the sweep engine);
-//! because results are order-deterministic, changing the cap never
-//! changes any computed value.
+//! [`ThreadPool::install`] mirrors rayon's scoped pools as a
+//! **thread-local** worker cap: parallel jobs started inside `install`
+//! (and any jobs nested inside those) spawn at most the pool's thread
+//! count, while other threads keep their own cap. Because results are
+//! order-deterministic, changing the cap never changes any computed
+//! value.
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -26,11 +29,14 @@ pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
-/// Global worker-count cap set by [`ThreadPoolBuilder::build_global`];
-/// `0` means "no cap" (use all hardware parallelism).
-static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Worker cap of the pool this thread runs inside (see
+    /// [`ThreadPool::install`]); `0` means "no cap" (use all hardware
+    /// parallelism).
+    static POOL_CAP: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Error type of [`ThreadPoolBuilder::build_global`], mirroring
+/// Error type of [`ThreadPoolBuilder::build`], mirroring
 /// `rayon::ThreadPoolBuildError`. The shim never actually fails, but
 /// callers written against real rayon expect a `Result`.
 #[derive(Debug)]
@@ -38,20 +44,13 @@ pub struct ThreadPoolBuildError;
 
 impl std::fmt::Display for ThreadPoolBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("global thread pool configuration failed")
+        f.write_str("thread pool configuration failed")
     }
 }
 
 impl std::error::Error for ThreadPoolBuildError {}
 
-/// Builder for the global worker configuration, mirroring
-/// `rayon::ThreadPoolBuilder`.
-///
-/// Divergence from upstream: the shim has no persistent pool, only a
-/// worker cap consulted when each parallel job spawns its scoped
-/// threads, so repeated [`ThreadPoolBuilder::build_global`] calls
-/// *reconfigure* the cap instead of erroring. The sweep engine relies
-/// on that to apply a per-campaign `--jobs` knob.
+/// Builder for a [`ThreadPool`], mirroring `rayon::ThreadPoolBuilder`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -63,37 +62,73 @@ impl ThreadPoolBuilder {
         ThreadPoolBuilder::default()
     }
 
-    /// Cap the number of worker threads; `0` restores "use all cores".
+    /// Cap the number of worker threads; `0` means "use all cores".
     pub fn num_threads(mut self, n: usize) -> ThreadPoolBuilder {
         self.num_threads = n;
         self
     }
 
-    /// Install the configuration globally.
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        MAX_THREADS.store(self.num_threads, Ordering::SeqCst);
-        Ok(())
+    /// Build the pool.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        Ok(ThreadPool {
+            num_threads: self.num_threads,
+        })
     }
 }
 
-/// The raw global worker cap (`0` = uncapped) — a shim extension with
-/// no upstream rayon equivalent, letting callers that reconfigure the
-/// cap temporarily (the sweep engine's per-campaign `--jobs`) save and
-/// restore the previous value.
-pub fn current_thread_cap() -> usize {
-    MAX_THREADS.load(Ordering::SeqCst)
+/// A worker-thread budget, mirroring `rayon::ThreadPool`.
+///
+/// Divergence from upstream: the shim keeps no resident threads.
+/// [`install`](ThreadPool::install) runs its closure on the calling
+/// thread with the pool's cap in effect, and every parallel job started
+/// under it spawns scoped workers up to that cap (never more than the
+/// hardware parallelism).
+#[derive(Clone, Copy, Debug)]
+pub struct ThreadPool {
+    num_threads: usize,
 }
 
-/// Number of threads a saturating parallel job would use right now,
-/// mirroring `rayon::current_num_threads`.
-pub fn current_num_threads() -> usize {
+impl ThreadPool {
+    /// Run `op` with this pool's worker cap applied to every parallel
+    /// job it starts; the caller's previous cap is restored afterwards
+    /// (also on unwind).
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                POOL_CAP.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(POOL_CAP.with(|c| c.replace(self.num_threads)));
+        op()
+    }
+
+    /// Number of threads a saturating parallel job inside this pool
+    /// would use.
+    pub fn current_num_threads(&self) -> usize {
+        capped(self.num_threads)
+    }
+}
+
+/// Hardware parallelism, limited by `cap` (`0` = no cap).
+fn capped(cap: usize) -> usize {
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    match MAX_THREADS.load(Ordering::SeqCst) {
+    match cap {
         0 => hw,
         cap => hw.min(cap),
     }
+}
+
+/// Number of threads a saturating parallel job would use right now on
+/// this thread, mirroring `rayon::current_num_threads`.
+pub fn current_num_threads() -> usize {
+    capped(POOL_CAP.with(Cell::get))
 }
 
 /// Number of worker threads for a job of `len` items.
@@ -120,17 +155,23 @@ where
     let n_chunks = len.div_ceil(chunk_size);
     let next = AtomicUsize::new(0);
     let out: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n_chunks));
+    // Workers inherit the caller's pool cap, so nested jobs stay
+    // inside the same budget.
+    let cap = POOL_CAP.with(Cell::get);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
+            scope.spawn(|| {
+                POOL_CAP.with(|c| c.set(cap));
+                loop {
+                    let c = next.fetch_add(1, Ordering::Relaxed);
+                    if c >= n_chunks {
+                        break;
+                    }
+                    let lo = c * chunk_size;
+                    let hi = (lo + chunk_size).min(len);
+                    let part = produce(lo..hi);
+                    out.lock().expect("worker panicked").push((c, part));
                 }
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(len);
-                let part = produce(lo..hi);
-                out.lock().expect("worker panicked").push((c, part));
             });
         }
     });
@@ -467,21 +508,34 @@ mod tests {
     }
 
     #[test]
-    fn global_thread_cap_applies_and_clears() {
-        // Runs alongside other tests in this binary; the cap only
-        // changes how many workers spawn, never the (deterministic)
-        // results, so briefly capping is safe.
-        crate::ThreadPoolBuilder::new()
+    fn pool_install_caps_its_own_jobs_and_restores() {
+        let uncapped = crate::current_num_threads();
+        let pool = crate::ThreadPoolBuilder::new()
             .num_threads(1)
-            .build_global()
+            .build()
             .unwrap();
-        assert_eq!(crate::current_num_threads(), 1);
-        let v: Vec<u64> = (0..100u64).into_par_iter().map(|i| i + 1).collect();
-        assert_eq!(v[99], 100);
-        crate::ThreadPoolBuilder::new()
-            .num_threads(0)
-            .build_global()
+        assert_eq!(pool.current_num_threads(), 1);
+        pool.install(|| {
+            assert_eq!(crate::current_num_threads(), 1);
+            // Other threads keep their own (uncapped) budget.
+            let elsewhere = std::thread::scope(|s| s.spawn(crate::current_num_threads).join());
+            assert_eq!(elsewhere.unwrap(), uncapped);
+            let v: Vec<u64> = (0..100u64).into_par_iter().map(|i| i + 1).collect();
+            assert_eq!(v[99], 100);
+        });
+        assert_eq!(crate::current_num_threads(), uncapped, "cap restored");
+
+        // Nested jobs inherit the pool's cap on every worker thread.
+        let two = crate::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
             .unwrap();
-        assert!(crate::current_num_threads() >= 1);
+        let caps: Vec<usize> = two.install(|| {
+            (0..64u64)
+                .into_par_iter()
+                .map(|_| crate::current_num_threads())
+                .collect()
+        });
+        assert!(caps.iter().all(|&c| c == uncapped.min(2)), "{caps:?}");
     }
 }
