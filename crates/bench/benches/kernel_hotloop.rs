@@ -1,7 +1,7 @@
 //! Hot-kernel microbenches: the distribution ops and grid passes that
 //! the sweep engine spends its time in, measured in isolation.
 //!
-//! Two panels:
+//! Three panels:
 //!
 //! * `dist_ops/{n}` — convolve / max / reduce_support at several
 //!   support sizes, with the allocating entry points next to their
@@ -9,6 +9,9 @@
 //! * `grid_kernels/{family}` — the batched `estimate_grid` override of
 //!   each optimized estimator family against the sequential
 //!   per-model default it must match bit for bit.
+//! * `mc_trials/{dag}/pfail{p}` — one sequential 20 000-trial Monte
+//!   Carlo reference on a Table-1 factorization DAG, at the failure
+//!   rates where most trials sample no failure at all.
 //!
 //! These labels are pinned by the CI perf-regression gate
 //! (`bench-report --gate`): a >25% median regression on any of them
@@ -132,5 +135,24 @@ fn bench_grid_kernels(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_dist_ops, bench_grid_kernels);
+fn bench_mc_trials(c: &mut Criterion) {
+    let t = KernelTimings::paper_default();
+    let dags = [("lu10", lu_dag(10, &t)), ("chol10", cholesky_dag(10, &t))];
+    for (label, dag) in dags {
+        let prepared = PreparedDag::new(dag.clone());
+        let est = MonteCarloEstimator::new(20_000).with_seed(1).sequential();
+        let mut prep = est.prepare(&prepared);
+        let mut g = c.benchmark_group(format!("mc_trials/{label}"));
+        g.sample_size(10);
+        for pfail in [0.01, 0.001] {
+            let model = FailureModel::from_pfail_for_dag(pfail, &dag);
+            g.bench_function(format!("pfail{pfail}"), |b| {
+                b.iter(|| prep.estimate_for(black_box(&model)).value)
+            });
+        }
+        g.finish();
+    }
+}
+
+criterion_group!(benches, bench_dist_ops, bench_grid_kernels, bench_mc_trials);
 criterion_main!(benches);

@@ -54,7 +54,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::BufRead;
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use stochdag_core::{Estimate, Estimator, MonteCarloEstimator, PreparedEstimator};
+use stochdag_core::{Estimate, Estimator, EstimatorSpec, MonteCarloEstimator, PreparedEstimator};
 use stochdag_dag::{structural_hash, PreparedDag};
 
 /// One leased batch of work: a stable id plus the global indices of the
@@ -510,6 +510,8 @@ impl<'a> LeaseExecutor<'a> {
                             seed,
                             model,
                             &entry.scenario,
+                            true,
+                            trials,
                             &mut ref_prep,
                             || {
                                 MonteCarloEstimator::new(trials)
@@ -536,6 +538,10 @@ impl<'a> LeaseExecutor<'a> {
                 prep = None;
                 prep_group = Some((i, e));
             }
+            let mc_trials = match est_spec {
+                EstimatorSpec::Mc { trials } => *trials,
+                _ => 0,
+            };
             let (est, tier) = evaluate_unit(
                 &self.tel,
                 self.cache,
@@ -543,6 +549,8 @@ impl<'a> LeaseExecutor<'a> {
                 seed,
                 model,
                 &entry.scenario,
+                false,
+                mc_trials,
                 &mut prep,
                 || {
                     self.registry

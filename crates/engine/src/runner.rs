@@ -262,10 +262,15 @@ pub(crate) fn expand(
 /// Single source of truth shared by the in-process and multi-process
 /// backends: the distributed byte-identity guarantee depends on both
 /// paths computing and caching cells identically. The `cache_probe`,
-/// `prepare_estimator`, and `estimate_cell` telemetry spans are
-/// recorded here for the same reason — every backend's phase timings
-/// come from the same instrumentation points (all no-ops on a disabled
-/// handle).
+/// `prepare_estimator`, `estimate_cell` and `reference_mc` telemetry
+/// spans and the `mc_trials` counter are recorded here for the same
+/// reason — every backend's phase timings come from the same
+/// instrumentation points (all no-ops on a disabled handle).
+///
+/// `reference` marks a cell's Monte-Carlo reference (its computation
+/// also records a `reference_mc` span, nested in `estimate_cell`);
+/// `mc_trials` is the Monte-Carlo trial count a fresh computation runs
+/// (0 for analytic families).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_unit(
     tel: &Telemetry,
@@ -274,6 +279,8 @@ pub(crate) fn evaluate_unit(
     seed: u64,
     model: &FailureModel,
     scenario: &ScenarioModel,
+    reference: bool,
+    mc_trials: usize,
     prep: &mut Option<Box<dyn PreparedEstimator>>,
     prepare: impl FnOnce() -> Box<dyn PreparedEstimator>,
 ) -> Result<(Estimate, Option<CacheTier>), EngineError> {
@@ -303,11 +310,15 @@ pub(crate) fn evaluate_unit(
     p.reseed(seed);
     let mut est = {
         let _estimate = tel.span("estimate_cell");
+        let _reference = reference.then(|| tel.span("reference_mc"));
         // Spec validation already rejected unsupported (estimator,
         // scenario) pairs; this surfaces only for hand-built plans.
         p.estimate_scenario(model, scenario)
             .map_err(|e| EngineError::spec(e.to_string()))?
     };
+    if mc_trials > 0 {
+        tel.count("mc_trials", mc_trials as u64);
+    }
     est.elapsed += prep_cost;
     cache.store(key, &est);
     Ok((est, None))

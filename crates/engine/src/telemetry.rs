@@ -18,9 +18,13 @@
 //! | `prepare_dag` | lease executor | freezing one `PreparedDag` |
 //! | `prepare_estimator` | cell evaluator | one lazy group preparation |
 //! | `estimate_cell` | cell evaluator | one estimate computation |
+//! | `reference_mc` | cell evaluator | one Monte-Carlo reference computation (nested in `estimate_cell`) |
 //! | `cache_probe` | cell evaluator | one cache lookup (any tier) |
 //! | `sink_flush` | coordinator | summary + finish of every sink |
 //! | `queue_wait` | coordinator | time blocked on the event channel |
+//!
+//! Among the counters, `mc_trials` sums the Monte-Carlo trials of every
+//! freshly computed unit: each reference and each `mc:N` cell.
 //!
 //! ## How metrics flow
 //!

@@ -92,6 +92,34 @@ fn cold_run_metrics_are_byte_stable_across_reruns() {
 }
 
 #[test]
+fn reference_mc_span_and_trial_counter_attribute_monte_carlo_work() {
+    // 6 DAG instances x 2 pfails: 12 references of 2000 trials, and
+    // 24 cells of which the 12 `mc:300` ones run 300 trials each.
+    let mut spec = campaign_spec();
+    spec.estimators = vec!["first-order".parse().unwrap(), "mc:300".parse().unwrap()];
+    let telemetry = Telemetry::enabled();
+    Campaign::builder(spec)
+        .cache(Arc::new(ResultCache::in_memory()))
+        .telemetry(telemetry.clone())
+        .sink(VecSink::default())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    let snap = telemetry.snapshot();
+    let reference = &snap.spans["reference_mc"];
+    let estimate = &snap.spans["estimate_cell"];
+    assert_eq!(reference.count, 12);
+    assert_eq!(
+        estimate.count,
+        24 + 12,
+        "references stay estimate_cell units"
+    );
+    assert!(reference.total_ns <= estimate.total_ns, "nested span");
+    assert_eq!(snap.counters["mc_trials"], 12 * 2000 + 12 * 300);
+}
+
+#[test]
 fn second_run_over_a_shared_cache_is_all_memory_tier() {
     let cache = Arc::new(ResultCache::in_memory());
     let first = Telemetry::enabled();
