@@ -457,11 +457,12 @@ impl TrialPlan {
                 .collect(),
             pred_off,
             pred_pos,
-            base: vec![0.0; n],
+            base: Vec::new(),
             prefix_best: Vec::with_capacity(n + 1),
         };
         let mut base = vec![0.0; n];
         plan.suffix(0, &plan.weight, &mut base, 0.0);
+        // The scalar pass's running `best`, position by position.
         let mut best = 0.0f64;
         plan.prefix_best.push(best);
         for &c in &base {
