@@ -56,6 +56,22 @@
 //!   failure-free positions, which reproduces the stored bits. Otherwise
 //!   each dirty lane runs its scalar suffix. Makespans are collected in
 //!   trial order and reduced by the unchanged sequential summary.
+//!
+//! Why two routes and a cut-off of 2 (2-vCPU x86-64 VM, SSE2 baseline,
+//! sequential 20 000-trial runs on LU and Cholesky `k=10`, medians of
+//! 8–10 rotated runs per build):
+//!
+//! - Against scalar suffixes for every dirty lane, the 8-lane pass
+//!   takes 18–34% less time at pfail 0.01, 0.03 and 0.1. At pfail
+//!   0.001 few blocks have three dirty lanes; there the 8-lane build
+//!   ranged from 7% faster to 21% slower, inside the runs'
+//!   interquartile ranges.
+//! - End to end, 10 alternating `table1-cold` pairs (`--seconds 10`)
+//!   gave the 8-lane build a median `cells_per_s` of 261 against 240,
+//!   ahead in 8 of 10 pairs.
+//! - Running the pass for one or two dirty lanes (cut-off 0 or 1) was
+//!   21–46% slower at pfail 0.001. Cut-offs 2, 3 and 4 fell within each
+//!   other's interquartile ranges at every pfail.
 
 use crate::estimator::{Estimate, Estimator, PreparedEstimator};
 use crate::model::FailureModel;
@@ -70,7 +86,8 @@ use stochdag_dag::{Dag, FrozenDag, PreparedDag};
 const LANES: usize = 8;
 
 /// A block runs the 8-lane pass only when more than this many of its
-/// lanes sampled a failure; otherwise each dirty lane runs alone.
+/// lanes sampled a failure; otherwise each dirty lane runs alone. See
+/// the module docs for the measurements behind the value.
 const SCALAR_MAX_DIRTY: usize = 2;
 
 /// `2⁻⁵³`: the RNG's `f64` uniform is `m · 2⁻⁵³` for `m = next_u64 >> 11`.
@@ -585,7 +602,7 @@ struct BlockScratch {
     hot: Vec<bool>,
     comp: Vec<f64>,
     weight: Vec<f64>,
-    /// The 8-lane arrays, allocated the first time a block needs them.
+    /// `comp` and `weight` with one column per lane.
     comp_lanes: Vec<[f64; LANES]>,
     weight_lanes: Vec<[f64; LANES]>,
 }
@@ -597,8 +614,8 @@ impl BlockScratch {
             hot: Vec::new(),
             comp: plan.base.clone(),
             weight: plan.weight.clone(),
-            comp_lanes: Vec::new(),
-            weight_lanes: Vec::new(),
+            comp_lanes: plan.base.iter().map(|&c| [c; LANES]).collect(),
+            weight_lanes: plan.weight.iter().map(|&w| [w; LANES]).collect(),
         }
     }
 
@@ -620,10 +637,6 @@ impl BlockScratch {
         let dirty = from[..lanes].iter().filter(|&&f| f < n).count();
         if dirty > SCALAR_MAX_DIRTY {
             let lo = from.iter().copied().min().unwrap_or(n);
-            if self.comp_lanes.is_empty() {
-                self.comp_lanes = plan.base.iter().map(|&c| [c; LANES]).collect();
-                self.weight_lanes = plan.weight.iter().map(|&w| [w; LANES]).collect();
-            }
             for (lane, fails) in self.fails[..lanes].iter().enumerate() {
                 for &(pos, w) in fails {
                     self.weight_lanes[pos as usize][lane] = w;

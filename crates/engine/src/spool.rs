@@ -264,6 +264,10 @@ impl ExecBackend for SharedFs {
                 // New worker registrations → one Hello per worker, slot
                 // indices in registration-name order of first sighting.
                 for reg in sorted_dir(&self.spool.join("workers")) {
+                    // Skip a registration still in its `write_atomic` tmp file.
+                    if reg.extension().and_then(|e| e.to_str()) != Some("json") {
+                        continue;
+                    }
                     let Some(name) = reg.file_stem().and_then(|s| s.to_str()) else {
                         continue;
                     };

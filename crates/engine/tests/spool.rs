@@ -189,6 +189,45 @@ fn stale_claim_is_reclaimed_and_the_campaign_completes() {
 }
 
 #[test]
+fn a_registration_in_flight_is_not_a_worker() {
+    let dir = scratch("torn");
+    let spool = dir.join("spool");
+    // What a worker's atomic registration write leaves for a moment
+    // before its rename: an empty tmp file next to the real ones.
+    std::fs::create_dir_all(spool.join("workers")).unwrap();
+    std::fs::write(spool.join("workers").join("w0.tmp.1"), b"").unwrap();
+
+    let worker = {
+        let spool = spool.clone();
+        std::thread::spawn(move || {
+            SpoolWorker::new(&spool)
+                .name("w1")
+                .jobs(1)
+                .max_wait(Duration::from_secs(30))
+                .run()
+        })
+    };
+    let hellos = Arc::new(Mutex::new(Vec::new()));
+    let seen = hellos.clone();
+    let outcome = Campaign::builder(spec("torn"))
+        .cache(Arc::new(ResultCache::on_disk(dir.join("cache"))))
+        .backend(SharedFs::new(&spool))
+        .observer(FnObserver(move |ev: &CampaignEvent| {
+            if let CampaignEvent::Hello { shard, jobs, .. } = ev {
+                seen.lock().unwrap().push((*shard, *jobs));
+            }
+        }))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(outcome.cells, 8);
+    worker.join().unwrap().unwrap();
+    assert_eq!(*hellos.lock().unwrap(), [(0, Some(1))]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_used_spool_directory_refuses_a_second_campaign() {
     let dir = scratch("reuse");
     let spool = dir.join("spool");
