@@ -1,14 +1,15 @@
-//! Hot-kernel microbenches: the distribution ops and grid passes that
-//! the sweep engine spends its time in, measured in isolation.
+//! Hot-kernel microbenches: the distribution ops and per-model
+//! estimator kernels that the sweep engine spends its time in, measured
+//! in isolation.
 //!
 //! Three panels:
 //!
 //! * `dist_ops/{n}` — convolve / max / reduce_support at several
 //!   support sizes, with the allocating entry points next to their
 //!   scratch-arena variants so the arena's win stays visible.
-//! * `grid_kernels/{family}` — the batched `estimate_grid` override of
-//!   each optimized estimator family against the sequential
-//!   per-model default it must match bit for bit.
+//! * `grid_kernels/{family}` — one prepared estimator of each hot
+//!   family evaluating an 8-model grid through `estimate_for`, one
+//!   model per call, as the campaign engine evaluates cells.
 //! * `mc_trials/{dag}/pfail{p}` — one sequential 20 000-trial Monte
 //!   Carlo reference on a Table-1 factorization DAG, at the failure
 //!   rates where most trials sample no failure at all.
@@ -98,21 +99,7 @@ fn bench_grid_kernels(c: &mut Criterion) {
         ("dodin", Box::new(DodinEstimator::scalable())),
     ];
     for (label, est) in families {
-        // The override must agree with the sequential default bit for
-        // bit — the same contract the grid_parity tests enforce.
         let mut prep = est.prepare(&prepared);
-        let grid: Vec<f64> = prep
-            .estimate_grid(&models)
-            .iter()
-            .map(|e| e.value)
-            .collect();
-        let seq: Vec<f64> = models.iter().map(|m| prep.estimate_for(m).value).collect();
-        assert_eq!(
-            grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "{label}: grid override must be bit-identical"
-        );
-
         let mut g = c.benchmark_group(format!("grid_kernels/{label}"));
         g.sample_size(10);
         g.bench_function("per_model/8models", |b| {
@@ -120,14 +107,6 @@ fn bench_grid_kernels(c: &mut Criterion) {
                 models
                     .iter()
                     .map(|m| prep.estimate_for(black_box(m)).value)
-                    .sum::<f64>()
-            })
-        });
-        g.bench_function("grid_batched/8models", |b| {
-            b.iter(|| {
-                prep.estimate_grid(black_box(&models))
-                    .iter()
-                    .map(|e| e.value)
                     .sum::<f64>()
             })
         });

@@ -6,7 +6,10 @@
 //! decomposition, all-pairs longest paths, dominant path extraction)
 //! inside every cell; the prepared path builds one `PreparedDag`, binds
 //! each estimator once, and evaluates every model against that
-//! preparation.
+//! preparation through `estimate_for`, one model per call. (The
+//! `prepared_grid` label names predate that: they once measured a
+//! batched grid pass and keep their names so the gate's pins carry
+//! over.)
 //!
 //! Two panels over LU k=8 with 8 calibrated failure models:
 //!
@@ -57,14 +60,15 @@ fn legacy_sweep(panel: &[Box<dyn Estimator>], dag: &Dag, models: &[FailureModel]
     acc
 }
 
-/// One preparation per graph, one binding per estimator, then the grid.
+/// One preparation per graph, one binding per estimator, then one
+/// `estimate_for` per model.
 fn prepared_sweep(panel: &[Box<dyn Estimator>], dag: &Dag, models: &[FailureModel]) -> f64 {
     let prepared = PreparedDag::new(dag.clone());
     let mut acc = 0.0;
     for est in panel {
         let mut prep = est.prepare(&prepared);
-        for e in prep.estimate_grid(models) {
-            acc += e.value;
+        for m in models {
+            acc += prep.estimate_for(m).value;
         }
     }
     acc

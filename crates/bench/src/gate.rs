@@ -32,7 +32,8 @@ pub struct BenchRecord {
 /// Whether a `(bench, label)` pair is held to the regression threshold.
 ///
 /// Pinned: every `kernel_hotloop` label (pure in-process kernels) and
-/// the `prepared_pipeline` grid-path labels (the PR-level acceptance
+/// the `prepared_pipeline` `prepared_grid/8models` labels (prepare once,
+/// then one `estimate_for` per model — the PR-level acceptance
 /// numbers). Everything else — cache benches that touch disk, shard
 /// benches that spawn processes — is tracked in the artifact but not
 /// gated.
@@ -243,7 +244,7 @@ mod tests {
             rec("kernel_hotloop", "dist_ops/64/convolve_scratch", 1000),
             rec(
                 "kernel_hotloop",
-                "grid_kernels/dodin/grid_batched/8models",
+                "grid_kernels/dodin/per_model/8models",
                 2000,
             ),
         ];
@@ -251,7 +252,7 @@ mod tests {
             rec("kernel_hotloop", "dist_ops/64/convolve_scratch", 1100),
             rec(
                 "kernel_hotloop",
-                "grid_kernels/dodin/grid_batched/8models",
+                "grid_kernels/dodin/per_model/8models",
                 2600,
             ),
         ];
@@ -259,10 +260,7 @@ mod tests {
         assert!(!report.passed());
         assert_eq!(report.regressions.len(), 1);
         let r = &report.regressions[0];
-        assert_eq!(
-            r.key,
-            "kernel_hotloop/grid_kernels/dodin/grid_batched/8models"
-        );
+        assert_eq!(r.key, "kernel_hotloop/grid_kernels/dodin/per_model/8models");
         assert!((r.ratio - 1.3).abs() < 1e-9);
         assert!(
             report.render().contains("REGRESSION"),

@@ -1,9 +1,8 @@
 //! Dodin-baseline estimator: the series-parallel approximation of
 //! Section II-A2, wired to the reduction engine of `stochdag-sp`.
 
-use crate::estimator::{Estimate, Estimator, PreparedEstimator};
+use crate::estimator::{Estimator, PreparedEstimator};
 use crate::model::FailureModel;
-use std::time::Instant;
 use stochdag_dag::{Dag, PreparedDag};
 use stochdag_dist::{DurationTable, TaskDurationModel};
 use stochdag_sp::{
@@ -155,8 +154,15 @@ struct PreparedDodin {
     scratch: ForwardScratch,
 }
 
-impl PreparedDodin {
-    fn eval(&mut self, model: &FailureModel) -> f64 {
+impl PreparedEstimator for PreparedDodin {
+    fn name(&self) -> &'static str {
+        match self.est.strategy {
+            DodinStrategy::Duplication => "Dodin",
+            DodinStrategy::Forward => "Dodin(fwd)",
+        }
+    }
+
+    fn expected_makespan_for(&mut self, model: &FailureModel) -> f64 {
         self.table.rebuild(model.lambda, self.prepared.weights());
         match self.est.strategy {
             DodinStrategy::Duplication => self
@@ -177,39 +183,6 @@ impl PreparedDodin {
                 .mean()
             }
         }
-    }
-}
-
-impl PreparedEstimator for PreparedDodin {
-    fn name(&self) -> &'static str {
-        match self.est.strategy {
-            DodinStrategy::Duplication => "Dodin",
-            DodinStrategy::Forward => "Dodin(fwd)",
-        }
-    }
-
-    fn expected_makespan_for(&mut self, model: &FailureModel) -> f64 {
-        self.eval(model)
-    }
-
-    /// Grid pass: the duration table depends on λ at every node, so
-    /// models cannot share work beyond the hoisted topological order and
-    /// the reused scratch — which the sequential path already uses; this
-    /// override just streams the models through them.
-    fn estimate_grid(&mut self, models: &[FailureModel]) -> Vec<Estimate> {
-        models
-            .iter()
-            .map(|model| {
-                let start = Instant::now();
-                let value = self.eval(model);
-                Estimate {
-                    value,
-                    elapsed: start.elapsed(),
-                    name: self.name().to_string(),
-                    std_error: self.std_error_hint(),
-                }
-            })
-            .collect()
     }
 }
 

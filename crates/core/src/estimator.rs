@@ -7,15 +7,13 @@
 //!    artifact the estimator needs (level decompositions, all-pairs
 //!    longest paths, dominant path sets, frozen CSR views, scratch
 //!    buffers, …) — computed once per graph.
-//! 2. [`PreparedEstimator::estimate_for`] (or the batched
-//!    [`PreparedEstimator::estimate_grid`]) evaluates one failure model
+//! 2. [`PreparedEstimator::estimate_for`] evaluates one failure model
 //!    against that preparation, as many times as the caller likes.
 //!
-//! One-shot callers keep the thin [`Estimator::estimate`] /
-//! [`Estimator::expected_makespan`] shims, which prepare internally and
-//! evaluate once. Sweep-style callers (the `stochdag-engine` runner,
-//! the accuracy-grid examples) prepare once per (graph, estimator) pair
-//! and amortize the preprocessing across every failure model.
+//! That per-model kernel is every family's one evaluation path. The
+//! campaign engine prepares once per (graph, estimator) pair and
+//! evaluates one cell per call; the one-shot [`Estimator::estimate`]
+//! prepares internally and evaluates once, timing both phases.
 
 use crate::model::FailureModel;
 use crate::scenario::{ScenarioModel, UnsupportedScenario};
@@ -134,23 +132,6 @@ pub trait PreparedEstimator: Send {
             Err(UnsupportedScenario::new(self.name(), scenario))
         }
     }
-
-    /// Evaluate a whole grid of failure models against this one
-    /// preparation, in order.
-    ///
-    /// The default maps [`PreparedEstimator::estimate_for`]. Hot
-    /// estimator families override it with a *batched* pass that hoists
-    /// whatever is shared across the grid (sensitivity vectors, pair
-    /// tables, scratch arenas) out of the per-model loop. Overrides
-    /// must return the same `value` bits as the sequential default for
-    /// every model — the `grid_parity` integration tests enforce this
-    /// for every registered family — because the sweep engine mixes the
-    /// two paths freely (cache hits replay single-cell evaluations
-    /// against grid-computed neighbors). Only `elapsed` may differ: a
-    /// batched pass reports each model's amortized share.
-    fn estimate_grid(&mut self, models: &[FailureModel]) -> Vec<Estimate> {
-        models.iter().map(|m| self.estimate_for(m)).collect()
-    }
 }
 
 /// An expected-makespan estimator for task graphs under silent errors.
@@ -179,22 +160,17 @@ pub trait Estimator {
             .expected_makespan_for(model)
     }
 
-    /// Standard error of the last kind of estimate this estimator
-    /// produces, if it is statistical. Default: `None`.
-    fn std_error_hint(&self) -> Option<f64> {
-        None
-    }
-
-    /// Timed wrapper around [`Estimator::expected_makespan`].
+    /// Prepare `dag` and evaluate `model` once through
+    /// [`PreparedEstimator::estimate_for`]. `elapsed` covers both
+    /// phases, and `std_error` is the prepared estimator's
+    /// [`PreparedEstimator::std_error_hint`].
     fn estimate(&self, dag: &Dag, model: &FailureModel) -> Estimate {
         let start = Instant::now();
-        let value = self.expected_makespan(dag, model);
-        Estimate {
-            value,
-            elapsed: start.elapsed(),
-            name: self.name().to_string(),
-            std_error: self.std_error_hint(),
-        }
+        let mut estimate = self
+            .prepare(&PreparedDag::new(dag.clone()))
+            .estimate_for(model);
+        estimate.elapsed = start.elapsed();
+        estimate
     }
 }
 
@@ -215,10 +191,6 @@ impl Estimator for BoxedEstimator {
 
     fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
         self.as_ref().expected_makespan(dag, model)
-    }
-
-    fn std_error_hint(&self) -> Option<f64> {
-        self.as_ref().std_error_hint()
     }
 
     fn estimate(&self, dag: &Dag, model: &FailureModel) -> Estimate {
@@ -268,16 +240,5 @@ mod tests {
         let e = Fixed(11.0).estimate(&g, &FailureModel::failure_free());
         assert!((e.relative_error(10.0) - 0.1).abs() < 1e-12);
         assert!((e.relative_error(12.0) + 1.0 / 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn estimate_grid_evaluates_in_order() {
-        let mut g = Dag::new();
-        g.add_node(1.0);
-        let prepared = PreparedDag::new(g);
-        let mut p = Fixed(7.0).prepare(&prepared);
-        let grid = p.estimate_grid(&[FailureModel::new(0.1), FailureModel::failure_free()]);
-        assert_eq!(grid.len(), 2);
-        assert!(grid.iter().all(|e| e.value == 7.0 && e.name == "Fixed"));
     }
 }

@@ -116,9 +116,7 @@ impl FirstOrderEstimator {
 /// hoists the per-task re-execution sensitivities
 /// `sens[i] = d(Gᵢ) − d(G)` out of the model loop at prepare time (they
 /// only depend on the level decomposition), so each model evaluation is
-/// one multiply-add pass over two contiguous arrays — and a whole grid
-/// of models is one structure-of-arrays sweep over the node axis
-/// ([`PreparedEstimator::estimate_grid`]).
+/// one multiply-add pass over two contiguous arrays.
 struct PreparedFirstOrder {
     prepared: PreparedDag,
     use_naive: bool,
@@ -200,35 +198,6 @@ impl PreparedEstimator for PreparedFirstOrder {
             name: self.name().to_string(),
             std_error: self.std_error_hint(),
         })
-    }
-
-    /// Batched grid pass (fast variant): one sweep over the node axis
-    /// updating every model's accumulator, so the weight and sensitivity
-    /// arrays are read once for the whole grid instead of once per
-    /// model. Each model's additions happen in node order exactly as in
-    /// the sequential path, so values are bit-identical to
-    /// [`PreparedEstimator::estimate_for`]; the reported `elapsed` is
-    /// each model's amortized share of the batched pass.
-    fn estimate_grid(&mut self, models: &[FailureModel]) -> Vec<Estimate> {
-        if self.use_naive || models.is_empty() {
-            return models.iter().map(|m| self.estimate_for(m)).collect();
-        }
-        let start = Instant::now();
-        let mut sums = vec![0.0f64; models.len()];
-        for (&a_i, &delta) in self.prepared.weights().iter().zip(&self.sens) {
-            for (s, m) in sums.iter_mut().zip(models) {
-                *s += m.lambda * a_i * delta;
-            }
-        }
-        let elapsed = start.elapsed() / models.len() as u32;
-        sums.into_iter()
-            .map(|sum| Estimate {
-                value: self.d_g + sum,
-                elapsed,
-                name: self.name().to_string(),
-                std_error: self.std_error_hint(),
-            })
-            .collect()
     }
 }
 

@@ -32,20 +32,20 @@
 //!    hoists its own model-independent work (all-pairs longest paths for
 //!    `SecondOrder`, dominant path sets for `Spelde`, scratch buffers
 //!    for `MonteCarlo`/`Exact`, …).
-//! 3. [`PreparedEstimator::estimate_for`] — or the batched
-//!    [`PreparedEstimator::estimate_grid`] — evaluates one failure model
-//!    against that preparation, as many times as needed.
+//! 3. [`PreparedEstimator::estimate_for`] evaluates one failure model
+//!    against that preparation, as many times as needed. This per-model
+//!    kernel is the one evaluation path of every family.
 //!
-//! **When to use which path:** evaluating one (graph, model) pair — a
-//! CLI `analyze` call, a scheduler probing a candidate DAG — should use
-//! the thin one-shot shims [`Estimator::estimate`] /
-//! [`Estimator::expected_makespan`], which prepare internally.
-//! Evaluating a *grid* (many failure models, many estimators, one
-//! graph) — the sweep engine, the paper's accuracy studies — should
-//! prepare once per (graph, estimator) pair; the `prepared_pipeline`
-//! bench measures the resulting amortization. Both paths return
-//! bit-identical values (enforced by the `prepared_parity` property
-//! tests).
+//! **When to use which entry point:** evaluating one (graph, model)
+//! pair — a CLI `analyze` call, a scheduler probing a candidate DAG —
+//! can use the one-shot [`Estimator::estimate`] /
+//! [`Estimator::expected_makespan`], which prepare internally and
+//! evaluate once. Evaluating many failure models or estimators on one
+//! graph — the sweep engine, the paper's accuracy studies — should
+//! prepare once per (graph, estimator) pair and call `estimate_for` per
+//! model; the `prepared_pipeline` bench measures the resulting
+//! amortization. Both return bit-identical values (enforced by the
+//! `prepared_parity` property tests).
 //!
 //! ## Quick example
 //!
@@ -66,14 +66,14 @@
 //! let rel = (first_order.value - mc.value).abs() / mc.value;
 //! assert!(rel < 1e-3, "first order within {rel} of Monte Carlo");
 //!
-//! // Grid evaluation: prepare once, evaluate many models against it.
+//! // Many models: prepare once, evaluate each model against it.
 //! let prepared = PreparedDag::new(dag);
 //! let mut fo = FirstOrderEstimator::fast().prepare(&prepared);
-//! let models: Vec<FailureModel> =
-//!     [0.01, 0.001].iter().map(|&p| FailureModel::from_pfail(p, 2.5)).collect();
-//! let grid = fo.estimate_grid(&models);
-//! assert_eq!(grid.len(), 2);
-//! assert_eq!(grid[1].value, first_order.value);
+//! let values: Vec<f64> = [0.01, 0.001]
+//!     .iter()
+//!     .map(|&p| fo.estimate_for(&FailureModel::from_pfail(p, 2.5)).value)
+//!     .collect();
+//! assert_eq!(values[1], first_order.value);
 //! ```
 
 mod estimator;
@@ -103,10 +103,7 @@ pub use model::FailureModel;
 pub use monte_carlo::{MonteCarloEstimator, MonteCarloResult, SamplingModel};
 pub use normal::{CorLcaEstimator, CovarianceNormalEstimator, SculliEstimator};
 pub use scenario::{ScenarioModel, UnsupportedScenario};
-pub use second_order::{
-    second_order_expected_makespan, second_order_from_tables, second_order_with,
-    SecondOrderEstimator, SecondOrderTables,
-};
+pub use second_order::{second_order_expected_makespan, SecondOrderEstimator};
 pub use spec::{
     EstimatorSpec, DEFAULT_DODIN_ATOMS, DEFAULT_MC_TRIALS, DEFAULT_SPELDE_PATHS, ESTIMATOR_FAMILIES,
 };

@@ -414,21 +414,6 @@ impl Estimator for MonteCarloEstimator {
             last_std_error: None,
         })
     }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        self.run(dag, model).mean
-    }
-
-    fn estimate(&self, dag: &Dag, model: &FailureModel) -> Estimate {
-        let start = Instant::now();
-        let r = self.run(dag, model);
-        Estimate {
-            value: r.mean,
-            elapsed: start.elapsed(),
-            name: self.name().to_string(),
-            std_error: Some(r.std_error),
-        }
-    }
 }
 
 /// The graph-only data every trial shares, built once per graph: the

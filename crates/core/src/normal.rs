@@ -24,23 +24,17 @@
 //! (`E = a(2−p)`, `Var = a²p(1−p)`), matching the paper's description of
 //! approximating the *discrete* 2-state duration by a normal of the same
 //! mean and variance. The per-node moments come from a
-//! [`DurationTable`] built once per (graph, model) pair; prepared
-//! estimators rebuild the table in place per model, reuse the shared
-//! topological order of their [`PreparedDag`], and walk the graph
-//! through per-preparation scratch buffers (completion vectors, the
-//! canonical tree, the covariance matrix), so evaluating a whole grid
-//! of failure models allocates nothing after the first call.
+//! [`DurationTable`] that each prepared estimator rebuilds in place per
+//! model; it reuses the shared topological order of its
+//! [`PreparedDag`] and walks the graph through per-preparation scratch
+//! buffers (completion vectors, the canonical tree, the covariance
+//! matrix), so evaluating many failure models allocates nothing after
+//! the first call. One-shot estimates prepare internally.
 
 use crate::estimator::{Estimator, PreparedEstimator};
 use crate::model::FailureModel;
-use stochdag_dag::{topological_order, Dag, NodeId, PreparedDag};
+use stochdag_dag::{Dag, NodeId, PreparedDag};
 use stochdag_dist::{clark_max_moments, DurationTable, Normal};
-
-/// Duration table for `dag` under `model` — the one-shot path's
-/// per-call construction (prepared paths rebuild a scratch table).
-fn duration_table(dag: &Dag, model: &FailureModel) -> DurationTable {
-    DurationTable::new(model.lambda, &dag.weights())
-}
 
 // ---------------------------------------------------------------------
 // Sculli (ρ = 0)
@@ -51,16 +45,10 @@ fn duration_table(dag: &Dag, model: &FailureModel) -> DurationTable {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SculliEstimator;
 
-fn sculli_with(dag: &Dag, topo: &[NodeId], sinks: &[NodeId], table: &DurationTable) -> f64 {
-    sculli_into(dag, topo, sinks, table, &mut Vec::new())
-}
-
-/// [`sculli_with`] over a caller-provided completion buffer — the
-/// hot-loop form. The prepared estimator owns one buffer per
-/// preparation, so evaluating a whole grid of failure models allocates
-/// nothing after the first call. Output is bit-identical to the
-/// allocating entry point (the buffer is cleared and refilled with the
-/// same zero normals the fresh vector would hold).
+/// Sculli's propagation over a caller-provided completion buffer. The
+/// prepared estimator owns one buffer per preparation, so evaluating
+/// many failure models allocates nothing after the first call (the
+/// buffer is cleared and refilled with zero normals each time).
 fn sculli_into(
     dag: &Dag,
     topo: &[NodeId],
@@ -139,11 +127,6 @@ impl Estimator for SculliEstimator {
             completion: Vec::new(),
         })
     }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        let topo = topological_order(dag).expect("estimators require acyclic graphs");
-        sculli_with(dag, &topo, &dag.sinks(), &duration_table(dag, model))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -210,20 +193,8 @@ impl CanonicalTree {
     }
 }
 
-fn corlca_with(dag: &Dag, topo: &[NodeId], sinks: &[NodeId], table: &DurationTable) -> f64 {
-    corlca_into(
-        dag,
-        topo,
-        sinks,
-        table,
-        &mut Vec::new(),
-        &mut CanonicalTree::default(),
-    )
-}
-
-/// [`corlca_with`] over caller-provided completion and canonical-tree
-/// buffers — the hot-loop form used by the prepared estimator (see
-/// [`sculli_into`] for the contract: bit-identical output, zero
+/// The CorLCA propagation over caller-provided completion and
+/// canonical-tree buffers (see [`sculli_into`] for the contract: zero
 /// allocation after the first call).
 fn corlca_into(
     dag: &Dag,
@@ -339,11 +310,6 @@ impl Estimator for CorLcaEstimator {
             completion: Vec::new(),
             tree: CanonicalTree::default(),
         })
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        let topo = topological_order(dag).expect("estimators require acyclic graphs");
-        corlca_with(dag, &topo, &dag.sinks(), &duration_table(dag, model))
     }
 }
 
@@ -487,17 +453,6 @@ impl Estimator for CovarianceNormalEstimator {
             table: DurationTable::default(),
             scratch: CovScratch::default(),
         })
-    }
-
-    fn expected_makespan(&self, dag: &Dag, model: &FailureModel) -> f64 {
-        let topo = topological_order(dag).expect("estimators require acyclic graphs");
-        covariance_with(
-            dag,
-            &topo,
-            &dag.sinks(),
-            &duration_table(dag, model),
-            &mut CovScratch::default(),
-        )
     }
 }
 

@@ -32,9 +32,8 @@
 //!
 //! Total cost `O(|V|·(|V| + |E|))` time and `O(|V|²)` memory.
 
-use crate::estimator::{Estimate, Estimator, PreparedEstimator};
+use crate::estimator::{Estimator, PreparedEstimator};
 use crate::model::FailureModel;
-use std::time::Instant;
 use stochdag_dag::{AllPairsLongestPaths, Dag, LevelInfo, PreparedDag};
 
 /// Second-order approximation of the expected makespan under the
@@ -43,37 +42,20 @@ pub fn second_order_expected_makespan(dag: &Dag, model: &FailureModel) -> f64 {
     if dag.node_count() == 0 {
         return 0.0;
     }
-    second_order_with(
+    let tables = SecondOrderTables::compute(
         dag,
         &LevelInfo::compute(dag),
         &AllPairsLongestPaths::compute(dag),
-        model,
-    )
-}
-
-/// [`second_order_expected_makespan`] with the level decomposition and
-/// the all-pairs longest paths supplied by the caller — the shared core
-/// of the one-shot and prepared paths. Both inputs are
-/// model-independent and dominate the cost (`O(|V|·(|V| + |E|))`), so a
-/// prepared estimator computes them once per graph.
-pub fn second_order_with(
-    dag: &Dag,
-    levels: &LevelInfo,
-    ap: &AllPairsLongestPaths,
-    model: &FailureModel,
-) -> f64 {
-    if dag.node_count() == 0 {
-        return 0.0;
-    }
-    second_order_from_tables(dag, &SecondOrderTables::compute(dag, levels, ap), model)
+    );
+    second_order_from_tables_in(dag, &tables, model, &mut Vec::new())
 }
 
 /// The model-independent half of the second-order expansion: every
 /// longest-path value the coefficient sums touch, precomputed once per
 /// graph. `O(|V|²)` memory (like the all-pairs matrix it is derived
 /// from, which can be dropped afterwards); evaluation against any λ is
-/// then pure coefficient arithmetic ([`second_order_from_tables`]).
-pub struct SecondOrderTables {
+/// then pure coefficient arithmetic.
+struct SecondOrderTables {
     /// `d(G)`.
     d_g: f64,
     /// `d(Gᵢ)` per node (task `i` doubled).
@@ -87,7 +69,7 @@ pub struct SecondOrderTables {
 
 impl SecondOrderTables {
     /// Precompute all longest-path values of the expansion.
-    pub fn compute(dag: &Dag, levels: &LevelInfo, ap: &AllPairsLongestPaths) -> SecondOrderTables {
+    fn compute(dag: &Dag, levels: &LevelInfo, ap: &AllPairsLongestPaths) -> SecondOrderTables {
         let n = dag.node_count();
         let d_g = levels.makespan;
         let mut d_gi = Vec::with_capacity(n);
@@ -136,20 +118,10 @@ impl SecondOrderTables {
 
 /// The model-dependent half of the second-order expansion: coefficient
 /// sums over precomputed [`SecondOrderTables`], `O(|V|²)` multiply-adds
-/// with no graph traversal. The summation order is identical to the
-/// historical single-pass implementation, so results are bit-identical.
-pub fn second_order_from_tables(
-    dag: &Dag,
-    tables: &SecondOrderTables,
-    model: &FailureModel,
-) -> f64 {
-    second_order_from_tables_in(dag, tables, model, &mut Vec::new())
-}
-
-/// [`second_order_from_tables`] over a caller-provided `x = λ·a` scratch
-/// vector — the hot-loop form used by the prepared estimator, which
-/// reuses one vector across every failure model of a grid. Output is
-/// bit-identical to the allocating entry point.
+/// with no graph traversal, over a caller-provided `x = λ·a` scratch
+/// vector (the prepared estimator reuses one across models). The
+/// summation order is identical to the historical single-pass
+/// implementation, so results are bit-identical.
 fn second_order_from_tables_in(
     dag: &Dag,
     tables: &SecondOrderTables,
@@ -197,40 +169,6 @@ fn second_order_from_tables_in(
     e
 }
 
-/// One register-blocked pass of the pair-table sweep covering models
-/// `mo..mo + L` of a node-major `x` matrix. Accumulators are seeded
-/// from (and written back to) `e`, so each lane's additions happen in
-/// exactly the sequential `(i, j)` order starting from its prefix
-/// value — bit-identical to the scalar loop, just `L` models per
-/// table read. Returns `L` so the dispatcher can advance its offset.
-#[inline]
-fn pair_sweep_lanes<const L: usize>(
-    grid_x: &[f64],
-    d_gij: &[f64],
-    n: usize,
-    m_count: usize,
-    mo: usize,
-    e: &mut [f64],
-) -> usize {
-    let mut acc = [0.0f64; L];
-    acc.copy_from_slice(&e[mo..mo + L]);
-    for i in 0..n {
-        let mut xi = [0.0f64; L];
-        xi.copy_from_slice(&grid_x[i * m_count + mo..i * m_count + mo + L]);
-        let base = i * n - i * (i + 1) / 2;
-        let prow = &d_gij[base..base + (n - i - 1)];
-        for (pj, &pair) in prow.iter().enumerate() {
-            let j = i + 1 + pj;
-            let xj = &grid_x[j * m_count + mo..j * m_count + mo + L];
-            for l in 0..L {
-                acc[l] += xi[l] * xj[l] * pair;
-            }
-        }
-    }
-    e[mo..mo + L].copy_from_slice(&acc);
-    L
-}
-
 /// The second-order estimator.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SecondOrderEstimator;
@@ -243,11 +181,8 @@ pub struct SecondOrderEstimator;
 struct PreparedSecondOrder {
     prepared: PreparedDag,
     tables: SecondOrderTables,
-    /// Reused `x = λ·a` vector (sequential path).
+    /// Reused `x = λ·a` vector.
     x: Vec<f64>,
-    /// Reused node-major `x` matrix (grid path): row `i` holds node
-    /// `i`'s `λ·a_i` across the grid's models.
-    grid_x: Vec<f64>,
 }
 
 impl PreparedEstimator for PreparedSecondOrder {
@@ -257,114 +192,6 @@ impl PreparedEstimator for PreparedSecondOrder {
 
     fn expected_makespan_for(&mut self, model: &FailureModel) -> f64 {
         second_order_from_tables_in(self.prepared.dag(), &self.tables, model, &mut self.x)
-    }
-
-    /// Batched grid pass: the `O(|V|²)` packed pair table — by far the
-    /// largest input of the evaluation — is swept **once** for the whole
-    /// grid, with every model's accumulator updated per pair, instead of
-    /// once per model. Per model, terms are added in exactly the
-    /// sequential order (empty-set, single/triple failures in node
-    /// order, then pairs in `(i, j)` order), so values are bit-identical
-    /// to [`PreparedEstimator::estimate_for`]; `elapsed` is each model's
-    /// amortized share of the batched pass.
-    fn estimate_grid(&mut self, models: &[FailureModel]) -> Vec<Estimate> {
-        let n = self.prepared.node_count();
-        if models.is_empty() || n == 0 {
-            return models.iter().map(|m| self.estimate_for(m)).collect();
-        }
-        let start = Instant::now();
-        let dag = self.prepared.dag();
-        let m_count = models.len();
-        // Node-major `x` matrix: row `i` holds node i's `λ·a_i` for
-        // every model, so the per-pair model loop below reads two
-        // contiguous rows instead of striding across model vectors.
-        self.grid_x.clear();
-        self.grid_x.resize(n * m_count, 0.0);
-        for (ni, node) in dag.nodes().enumerate() {
-            let w = dag.weight(node);
-            let row = &mut self.grid_x[ni * m_count..(ni + 1) * m_count];
-            for (mi, m) in models.iter().enumerate() {
-                row[mi] = m.lambda * w;
-            }
-        }
-        // Model-independent prefix: empty-set plus single/triple terms,
-        // per model (cheap, O(|V|) each).
-        let mut e: Vec<f64> = Vec::with_capacity(m_count);
-        for mi in 0..m_count {
-            let x = |i: usize| self.grid_x[i * m_count + mi];
-            let sum_x: f64 = (0..n).map(&x).sum();
-            let sum_x2: f64 = (0..n).map(|i| x(i) * x(i)).sum();
-            let sum_cross = 0.5 * (sum_x * sum_x - sum_x2);
-            let c_empty = 1.0 - sum_x + 0.5 * sum_x2 + sum_cross;
-            let mut acc = c_empty * self.tables.d_g;
-            for i in 0..n {
-                let xi = x(i);
-                if xi == 0.0 {
-                    continue;
-                }
-                let c_i = xi - 1.5 * xi * xi - xi * (sum_x - xi);
-                acc += c_i * self.tables.d_gi[i] + xi * xi * self.tables.d_gi3[i];
-            }
-            e.push(acc);
-        }
-        // One shared sweep of the pair table for every model: the
-        // packed row of pairs `(i, ·)` is sliced once per `i`, and each
-        // pair value updates all models off two contiguous `x` rows.
-        // When no `x` entry is zero (every real calibration: positive
-        // λ, positive weights) the zero-skip tests are dead, and
-        // dropping them leaves independent accumulator lanes per pair —
-        // branch-free, vectorizable, and bit-identical because skips
-        // only alter the sum when a zero exists. The lanes run in
-        // fixed-width register blocks (8/4/2/1 models at a time);
-        // per-lane addition order is untouched by the blocking, so bits
-        // still match the sequential path exactly.
-        let has_zero = self.grid_x.contains(&0.0);
-        if has_zero {
-            for i in 0..n {
-                let xi_row = &self.grid_x[i * m_count..(i + 1) * m_count];
-                let base = i * n - i * (i + 1) / 2;
-                let prow = &self.tables.d_gij[base..base + (n - i - 1)];
-                for (pj, &pair) in prow.iter().enumerate() {
-                    let j = i + 1 + pj;
-                    let xj_row = &self.grid_x[j * m_count..(j + 1) * m_count];
-                    for (mi, acc) in e.iter_mut().enumerate() {
-                        let xi = xi_row[mi];
-                        if xi == 0.0 {
-                            continue;
-                        }
-                        let xj = xj_row[mi];
-                        if xj == 0.0 {
-                            continue;
-                        }
-                        *acc += xi * xj * pair;
-                    }
-                }
-            }
-        } else {
-            let mut mo = 0;
-            while mo < m_count {
-                let left = m_count - mo;
-                let step = if left >= 8 {
-                    pair_sweep_lanes::<8>(&self.grid_x, &self.tables.d_gij, n, m_count, mo, &mut e)
-                } else if left >= 4 {
-                    pair_sweep_lanes::<4>(&self.grid_x, &self.tables.d_gij, n, m_count, mo, &mut e)
-                } else if left >= 2 {
-                    pair_sweep_lanes::<2>(&self.grid_x, &self.tables.d_gij, n, m_count, mo, &mut e)
-                } else {
-                    pair_sweep_lanes::<1>(&self.grid_x, &self.tables.d_gij, n, m_count, mo, &mut e)
-                };
-                mo += step;
-            }
-        }
-        let elapsed = start.elapsed() / models.len() as u32;
-        e.into_iter()
-            .map(|value| Estimate {
-                value,
-                elapsed,
-                name: self.name().to_string(),
-                std_error: self.std_error_hint(),
-            })
-            .collect()
     }
 }
 
@@ -379,7 +206,6 @@ impl Estimator for SecondOrderEstimator {
             tables: SecondOrderTables::compute(prepared.dag(), prepared.levels(), &ap),
             prepared: prepared.clone(),
             x: Vec::new(),
-            grid_x: Vec::new(),
         })
     }
 

@@ -18,9 +18,8 @@
 //! picture next to Dodin and the normal-propagation family, and it
 //! exercises the `k_longest_paths` substrate.
 
-use crate::estimator::{Estimate, Estimator, PreparedEstimator};
+use crate::estimator::{Estimator, PreparedEstimator};
 use crate::model::FailureModel;
-use std::time::Instant;
 use stochdag_dag::{k_longest_paths, CriticalPath, Dag, PreparedDag};
 use stochdag_dist::{clark_max_moments, DurationTable, Normal};
 
@@ -131,26 +130,6 @@ impl PreparedEstimator for PreparedSpelde {
         }
         self.table.rebuild(model.lambda, self.prepared.weights());
         spelde_flat(&self.flat, &self.offsets, &self.table)
-    }
-
-    /// Grid pass. Every moment in the evaluation depends on λ through
-    /// `p = e^{−λa}`, so there is nothing to share *across* models — the
-    /// batching here is keeping the duration table and the flattened
-    /// path layout warm while the models stream through them.
-    fn estimate_grid(&mut self, models: &[FailureModel]) -> Vec<Estimate> {
-        models
-            .iter()
-            .map(|model| {
-                let start = Instant::now();
-                let value = self.expected_makespan_for(model);
-                Estimate {
-                    value,
-                    elapsed: start.elapsed(),
-                    name: self.name().to_string(),
-                    std_error: self.std_error_hint(),
-                }
-            })
-            .collect()
     }
 }
 

@@ -13,7 +13,9 @@
 //! hashing, so the table holds one hash per (DAG, pfail, trial count).
 
 use stochdag_core::{
-    Estimator, FailureModel, MonteCarloEstimator, MonteCarloResult, SamplingModel, ScenarioModel,
+    CorLcaEstimator, CovarianceNormalEstimator, DodinEstimator, Estimator, ExactEstimator,
+    FailureModel, FirstOrderEstimator, MonteCarloEstimator, MonteCarloResult, SamplingModel,
+    ScenarioModel, SculliEstimator, SecondOrderEstimator, SpeldeEstimator,
 };
 use stochdag_dag::{Dag, PreparedDag};
 use stochdag_taskgraphs::{cholesky_dag, lu_dag, qr_dag, KernelTimings};
@@ -482,5 +484,59 @@ fn monte_carlo_statistics_are_bit_stable() {
     for ((name, row), (want_name, want)) in got.iter().zip(GOLDEN) {
         assert_eq!(name, want_name);
         assert_eq!(row, want, "{name}: statistics changed; table:\n{table}");
+    }
+}
+
+/// The one-shot `Estimator::estimate` prepares and evaluates once; its
+/// `value` and `std_error` must be `run`'s `mean` and `std_error` bit
+/// for bit, in every i.i.d. configuration.
+#[test]
+fn one_shot_estimate_matches_run() {
+    for (name, dag) in dags() {
+        for pfail in PFAILS {
+            let m = model(pfail, &dag);
+            for trials in [1, 7, 8, 2_003] {
+                for sampling in SAMPLINGS {
+                    for anti in [false, true] {
+                        let par = estimator(trials, sampling, anti);
+                        for est in [par, par.sequential()] {
+                            let e = est.estimate(&dag, &m);
+                            let r = est.run(&dag, &m);
+                            let what = format!("{name} pfail {pfail} trials {trials} {est:?}");
+                            assert_eq!(e.value.to_bits(), r.mean.to_bits(), "{what}");
+                            assert_eq!(
+                                e.std_error.map(f64::to_bits),
+                                Some(r.std_error.to_bits()),
+                                "{what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Deterministic families report no standard error from the one-shot
+/// path.
+#[test]
+fn analytic_one_shot_estimates_have_no_std_error() {
+    let analytic: Vec<Box<dyn Estimator>> = vec![
+        Box::new(FirstOrderEstimator::fast()),
+        Box::new(FirstOrderEstimator::naive()),
+        Box::new(SecondOrderEstimator),
+        Box::new(SculliEstimator),
+        Box::new(CorLcaEstimator),
+        Box::new(CovarianceNormalEstimator),
+        Box::new(DodinEstimator::scalable()),
+        Box::new(DodinEstimator::new()),
+        Box::new(SpeldeEstimator::new(4)),
+        Box::new(ExactEstimator),
+    ];
+    for dag in [diamond(), zero_dup()] {
+        let m = model(0.1, &dag);
+        for est in &analytic {
+            assert_eq!(est.estimate(&dag, &m).std_error, None, "{}", est.name());
+        }
     }
 }
