@@ -28,10 +28,10 @@
 
 use crate::cache::ResultCache;
 use crate::cancel::CancelToken;
+use crate::coordinator::{coordinate, Lost, Report, Transport};
 use crate::error::EngineError;
 use crate::lease::{
-    encode_lease, serve_session, CampaignPlan, LeasePoll, LeaseQueue, PipeSource, QueueSource,
-    WorkLease,
+    encode_lease, serve_session, CampaignPlan, LeaseQueue, PipeSource, QueueSource, WorkLease,
 };
 use crate::observer::CampaignObserver;
 use crate::progress::{ProgressMode, ProgressReporter};
@@ -41,12 +41,12 @@ use crate::runner::{expand, resume_report_impl, Expansion, ResumeReport, SweepOu
 use crate::sink::{summarize, Reorderer, ResultSink, SweepRow};
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Event source tag of the coordinator itself (the [`Plan`] event);
 /// backends tag events with their worker slot instead.
@@ -70,10 +70,10 @@ pub struct BackendContext<'a> {
     /// workers should collect and report snapshots.
     pub telemetry: &'a Telemetry,
     /// Cooperative stop flag. In-process backends hand it to the lease
-    /// executor (checked between cells); process-spawning backends
-    /// should poll it at their own convenient boundaries (e.g. between
-    /// lease grants) and stop early with [`EngineError::cancelled`]
-    /// when set.
+    /// executor (checked between cells); the worker-process backends'
+    /// coordinator loop checks it before granting leases, which it does
+    /// after every event. A backend stops early with
+    /// [`EngineError::cancelled`] when it is set.
     pub cancel: &'a CancelToken,
     /// The expanded campaign plan the lease queue was built from —
     /// what a [`LeaseExecutor`](crate::LeaseExecutor) executes against.
@@ -95,9 +95,9 @@ pub type Deliver<'a> = dyn Fn(usize, CampaignEvent) -> Result<(), EngineError> +
 /// ([`LeaseQueue::requeue`], bounded per lease) for any surviving
 /// worker. Everything a backend does is reported through the one
 /// [`CampaignEvent`] vocabulary, and the campaign core merges events,
-/// re-orders rows, and checks completeness identically for every
-/// implementation — which is what makes backend outputs byte-identical
-/// regardless of lease interleaving.
+/// drops duplicate deliveries, re-orders rows, and checks completeness
+/// identically for every implementation — which is what makes backend
+/// outputs byte-identical regardless of lease interleaving.
 ///
 /// Shipped backends:
 ///
@@ -108,6 +108,9 @@ pub type Deliver<'a> = dyn Fn(usize, CampaignEvent) -> Result<(), EngineError> +
 /// * [`SharedFs`](crate::SharedFs) — remote `sweep-worker` processes
 ///   on other hosts, coordinated through a shared-filesystem spool
 ///   directory.
+///
+/// The two worker-process backends run one coordinator loop over
+/// different transports (pipes, spool files).
 pub trait ExecBackend: Send + Sync {
     /// Human-readable backend name (diagnostics, dry runs).
     fn name(&self) -> String;
@@ -121,9 +124,9 @@ pub trait ExecBackend: Send + Sync {
 
     /// Drain `leases`, delivering each event (tagged with its source
     /// worker slot) as it happens. Grant batches with
-    /// [`LeaseQueue::next`]/[`LeaseQueue::poll_next`], retire them with
-    /// [`LeaseQueue::complete`] when their `LeaseDone` arrives, and
-    /// [`LeaseQueue::requeue`] the batches of a crashed worker.
+    /// [`LeaseQueue::next`], retire them with [`LeaseQueue::complete`]
+    /// when their `LeaseDone` arrives, and [`LeaseQueue::requeue`] the
+    /// batches of a crashed worker.
     fn execute(
         &self,
         ctx: &BackendContext<'_>,
@@ -158,22 +161,6 @@ impl ExecBackend for InProcess {
     }
 }
 
-/// How one worker slot's session ended.
-enum SlotEnd {
-    /// The lease queue drained and the worker exited cleanly.
-    Drained,
-    /// The worker died (crash, torn stream, reported error); `lost`
-    /// holds the leases it was granted but never completed.
-    Failed { why: String, lost: Vec<WorkLease> },
-}
-
-/// One read off a worker's event stream.
-enum EventRead {
-    Event(CampaignEvent),
-    Failed(String),
-    Eof,
-}
-
 /// Distribute the campaign over N worker **processes** on this machine.
 ///
 /// Each worker runs `sweep-worker --leases`: the coordinator streams
@@ -181,14 +168,18 @@ enum EventRead {
 /// `--jobs` batches keeps the worker's threads saturated), the worker
 /// executes them cache-first against the shared on-disk cache and
 /// streams line-delimited JSON [`CampaignEvent`]s back over its stdout
-/// pipe. A worker that dies — non-zero exit, torn or corrupt stream,
-/// reported error — is **re-spawned once** and its unfinished leases
-/// are re-queued for any surviving worker (each lease is granted at
-/// most twice); the retry runs cache-first, so cells the crashed
-/// worker already finished are served from the shared cache and only
-/// the remainder recomputes. Events the failed attempt already
-/// delivered are deduplicated by the campaign core (they are
-/// deterministic, so the retry's copies are identical).
+/// pipe — the pipe transport of the coordinator loop
+/// [`SharedFs`](crate::SharedFs) also runs. A worker that dies — torn
+/// or corrupt stream, reported error, exit before its leases are done
+/// — is **re-spawned once** and its unfinished leases are re-queued for
+/// any worker (each lease is granted at most twice); the retry runs
+/// cache-first, so cells the crashed worker already finished are served
+/// from the shared cache and only the remainder recomputes. Events the
+/// failed attempt already delivered are deduplicated by the campaign
+/// core (they are deterministic, so the retry's copies are identical).
+/// A slot whose respawn dies too is retired (`worker_slots_retired`);
+/// a non-zero exit after the session ended only counts
+/// `worker_exit_nonzero`.
 ///
 /// The worker-thread cap is a `--jobs` handshake: an explicit spec
 /// `jobs` is passed through per worker; otherwise this machine's cores
@@ -222,288 +213,6 @@ impl MultiProcess {
         self.launcher = Some((program.into(), args));
         self
     }
-
-    fn spawn_worker(
-        &self,
-        ctx: &BackendContext<'_>,
-        spec_path: &std::path::Path,
-        slot: usize,
-        jobs: usize,
-    ) -> Result<Child, EngineError> {
-        let (program, base_args) = match &self.launcher {
-            Some((p, a)) => (p.clone(), a.clone()),
-            None => (
-                std::env::current_exe().map_err(|e| EngineError::io("locating own binary", e))?,
-                vec!["sweep-worker".to_string()],
-            ),
-        };
-        let mut cmd = Command::new(program);
-        cmd.args(base_args)
-            .arg("--spec-json")
-            .arg(spec_path)
-            .arg("--leases")
-            .arg("--worker")
-            .arg(slot.to_string())
-            .arg("--jobs")
-            .arg(jobs.to_string())
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        match ctx.cache.disk_dir() {
-            Some(dir) => {
-                cmd.arg("--cache").arg(dir);
-            }
-            None => {
-                cmd.arg("--no-cache");
-            }
-        }
-        if ctx.telemetry.is_enabled() {
-            cmd.arg("--telemetry");
-        }
-        ctx.telemetry.count("worker_spawns", 1);
-        cmd.spawn()
-            .map_err(|e| EngineError::worker(slot, format!("spawning sweep worker: {e}")))
-    }
-
-    /// Read the next event off a worker's stream. A worker `Error`
-    /// event is tallied by kind and surfaced as a failure (not
-    /// delivered), so a re-queued lease does not abort the merge.
-    fn next_event(
-        lines: &mut std::io::Lines<BufReader<ChildStdout>>,
-        telemetry: &Telemetry,
-    ) -> EventRead {
-        match lines.next() {
-            None => EventRead::Eof,
-            Some(Err(_)) => EventRead::Failed("stream broke mid-read".into()),
-            Some(Ok(line)) => match decode_event(&line) {
-                Err(e) => EventRead::Failed(e),
-                Ok(CampaignEvent::Error { message, kind }) => {
-                    // Tally every worker failure by kind — including
-                    // attempts whose leases a re-queue later completes,
-                    // which never surface as a campaign error.
-                    let kind = kind.as_deref().unwrap_or("unknown");
-                    telemetry.count(&format!("errors_{kind}"), 1);
-                    EventRead::Failed(message)
-                }
-                Ok(ev) => EventRead::Event(ev),
-            },
-        }
-    }
-
-    /// Drive one worker process: feed it leases over stdin (keeping a
-    /// window of `jobs` in flight), pump its event stream, retire
-    /// completed leases. Returns how the session ended; `Err` is
-    /// reserved for campaign-fatal conditions (cancellation, a dead
-    /// event channel).
-    fn pump_worker(
-        slot: usize,
-        jobs: usize,
-        child: &mut Child,
-        ctx: &BackendContext<'_>,
-        leases: &LeaseQueue,
-        deliver: &Deliver<'_>,
-    ) -> Result<SlotEnd, EngineError> {
-        let mut stdin = child.stdin.take().expect("stdin piped");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut lines = BufReader::new(stdout).lines();
-        let mut held: HashMap<usize, WorkLease> = HashMap::new();
-        fn lost(held: &mut HashMap<usize, WorkLease>) -> Vec<WorkLease> {
-            let mut v: Vec<WorkLease> = held.drain().map(|(_, l)| l).collect();
-            v.sort_by_key(|l| l.lease_id);
-            v
-        }
-        // Handshake: the worker validates the spec and says hello
-        // before the first lease is written.
-        match Self::next_event(&mut lines, ctx.telemetry) {
-            EventRead::Event(ev @ CampaignEvent::Hello { .. }) => deliver(slot, ev)?,
-            EventRead::Event(_) => {
-                return Ok(SlotEnd::Failed {
-                    why: "protocol violation: first event was not hello".into(),
-                    lost: Vec::new(),
-                })
-            }
-            EventRead::Failed(why) => {
-                return Ok(SlotEnd::Failed {
-                    why,
-                    lost: Vec::new(),
-                })
-            }
-            EventRead::Eof => {
-                return Ok(SlotEnd::Failed {
-                    why: "stream ended before its hello event".into(),
-                    lost: Vec::new(),
-                })
-            }
-        }
-        loop {
-            // Keep a pipeline window of `jobs` leases in flight so the
-            // worker's threads never idle waiting on the pipe. When the
-            // slot holds nothing, wait on the queue (another slot may
-            // crash and re-queue) instead of spinning.
-            let mut drained = false;
-            while held.len() < jobs {
-                let wait = if held.is_empty() {
-                    Duration::from_millis(50)
-                } else {
-                    Duration::ZERO
-                };
-                match leases.poll_next(wait) {
-                    LeasePoll::Ready(lease) => {
-                        let line = encode_lease(&lease);
-                        held.insert(lease.lease_id, lease);
-                        if let Err(e) = writeln!(stdin, "{line}") {
-                            return Ok(SlotEnd::Failed {
-                                why: format!("writing lease request: {e}"),
-                                lost: lost(&mut held),
-                            });
-                        }
-                    }
-                    LeasePoll::Pending => break,
-                    LeasePoll::Drained => {
-                        drained = true;
-                        break;
-                    }
-                }
-            }
-            if held.is_empty() {
-                if drained {
-                    break;
-                }
-                if ctx.cancel.is_cancelled() {
-                    return Err(EngineError::cancelled());
-                }
-                continue;
-            }
-            match Self::next_event(&mut lines, ctx.telemetry) {
-                EventRead::Event(CampaignEvent::LeaseDone {
-                    lease_id,
-                    cells,
-                    hits,
-                    misses,
-                }) => {
-                    held.remove(&lease_id);
-                    deliver(
-                        slot,
-                        CampaignEvent::LeaseDone {
-                            lease_id,
-                            cells,
-                            hits,
-                            misses,
-                        },
-                    )?;
-                    leases.complete(lease_id);
-                    if ctx.cancel.is_cancelled() {
-                        return Err(EngineError::cancelled());
-                    }
-                }
-                EventRead::Event(ev) => deliver(slot, ev)?,
-                EventRead::Failed(why) => {
-                    return Ok(SlotEnd::Failed {
-                        why,
-                        lost: lost(&mut held),
-                    })
-                }
-                EventRead::Eof => {
-                    return Ok(SlotEnd::Failed {
-                        why: "stream ended mid-lease".into(),
-                        lost: lost(&mut held),
-                    })
-                }
-            }
-        }
-        // Queue drained: close the worker's stdin so it exits, then
-        // drain its trailing telemetry/done events.
-        drop(stdin);
-        loop {
-            match Self::next_event(&mut lines, ctx.telemetry) {
-                EventRead::Event(ev) => deliver(slot, ev)?,
-                EventRead::Failed(why) => {
-                    return Ok(SlotEnd::Failed {
-                        why,
-                        lost: Vec::new(),
-                    })
-                }
-                EventRead::Eof => break,
-            }
-        }
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            // Every lease is completed and merged; a worker that
-            // botches its own exit is not worth failing the campaign.
-            Ok(status) => eprintln!("sweep worker {slot} exited with {status} after draining"),
-            Err(e) => eprintln!("sweep worker {slot}: wait failed: {e}"),
-        }
-        Ok(SlotEnd::Drained)
-    }
-
-    /// Run one worker slot to queue drain, re-spawning once on worker
-    /// death. Lease-level retries are additionally capped by the
-    /// queue's per-lease grant budget, whoever retries them.
-    fn run_slot(
-        &self,
-        ctx: &BackendContext<'_>,
-        leases: &LeaseQueue,
-        deliver: &Deliver<'_>,
-        spec_path: &std::path::Path,
-        slot: usize,
-        jobs: usize,
-    ) -> Result<(), EngineError> {
-        let mut budget = 1usize;
-        loop {
-            let mut child = match self.spawn_worker(ctx, spec_path, slot, jobs) {
-                Ok(c) => c,
-                Err(e) => {
-                    // Don't leave peers waiting on leases this slot
-                    // will never take.
-                    leases.close();
-                    return Err(e);
-                }
-            };
-            match Self::pump_worker(slot, jobs, &mut child, ctx, leases, deliver) {
-                Ok(SlotEnd::Drained) => return Ok(()),
-                Ok(SlotEnd::Failed { why, lost }) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    for lease in &lost {
-                        if !leases.requeue(lease.lease_id) {
-                            leases.close();
-                            return Err(EngineError::worker(
-                                slot,
-                                format!(
-                                    "lease {} failed after {} attempts (last: {why})",
-                                    lease.lease_id,
-                                    leases.attempts(lease.lease_id)
-                                ),
-                            ));
-                        }
-                    }
-                    if budget == 0 {
-                        // Re-queued leases go to surviving slots; if
-                        // every slot retires, execute() reports the
-                        // undrained queue.
-                        eprintln!("sweep worker {slot}: retry budget exhausted; slot retired");
-                        return Ok(());
-                    }
-                    budget -= 1;
-                    ctx.telemetry.count("worker_retries", 1);
-                    if lost.is_empty() {
-                        eprintln!("sweep worker {slot} failed ({why}); respawning");
-                    } else {
-                        eprintln!(
-                            "sweep worker {slot} failed ({why}); re-queueing {} lease(s)",
-                            lost.len()
-                        );
-                    }
-                }
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    leases.close();
-                    return Err(e);
-                }
-            }
-        }
-    }
 }
 
 impl ExecBackend for MultiProcess {
@@ -523,9 +232,6 @@ impl ExecBackend for MultiProcess {
     ) -> Result<(), EngineError> {
         if self.workers == 0 {
             return Err(EngineError::spec("worker count must be positive"));
-        }
-        if ctx.cancel.is_cancelled() {
-            return Err(EngineError::cancelled());
         }
         // The --jobs handshake: an explicit spec cap applies per
         // worker; otherwise split this machine's cores across the
@@ -552,36 +258,279 @@ impl ExecBackend for MultiProcess {
             EngineError::io(format!("writing worker spec {}", spec_path.display()), e)
         })?;
         let result = std::thread::scope(|scope| {
-            let spec_path = &spec_path;
-            let handles: Vec<_> = (0..self.workers)
-                .map(|slot| {
-                    scope.spawn(move || self.run_slot(ctx, leases, deliver, spec_path, slot, jobs))
-                })
-                .collect();
-            let mut first: Option<EngineError> = None;
-            for h in handles {
-                if let Err(e) = h.join().expect("worker slot thread panicked") {
-                    first.get_or_insert(e);
-                }
-            }
-            match first {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            let mut pipes = Pipes {
+                backend: self,
+                ctx,
+                spec_path: &spec_path,
+                jobs,
+                scope,
+                lines: mpsc::channel(),
+                slots: (0..self.workers).map(|_| PipeSlot::default()).collect(),
+                closing: false,
+            };
+            coordinate(&mut pipes, leases, deliver, ctx.telemetry, ctx.cancel)
         });
         let _ = std::fs::remove_file(&spec_path);
-        result?;
-        if ctx.cancel.is_cancelled() {
-            return Err(EngineError::cancelled());
+        result
+    }
+}
+
+/// A worker's stdout line as its reader thread forwards it, tagged
+/// `(slot, generation)` (see [`forward_events`]).
+type PipeLine = (usize, usize, Option<Result<CampaignEvent, String>>);
+
+/// One [`MultiProcess`] worker slot.
+#[derive(Default)]
+struct PipeSlot {
+    child: Option<Child>,
+    /// The lease pipe; closed once the queue drained.
+    stdin: Option<ChildStdin>,
+    /// Bumped when the slot's child is abandoned, so that child's
+    /// reader thread no longer speaks for the slot.
+    generation: usize,
+    joined: bool,
+    /// Granted leases whose `LeaseDone` has not arrived.
+    held: BTreeSet<usize>,
+    respawned: bool,
+    retired: bool,
+}
+
+/// The pipe transport of [`MultiProcess`]: spawns each slot's worker
+/// (and re-spawns it once after a failure), keeps a window of `jobs`
+/// leases in flight on its stdin, and runs one reader thread per child.
+struct Pipes<'a, 's, 'e> {
+    backend: &'a MultiProcess,
+    ctx: &'a BackendContext<'a>,
+    spec_path: &'a std::path::Path,
+    jobs: usize,
+    scope: &'s std::thread::Scope<'s, 'e>,
+    lines: (mpsc::Sender<PipeLine>, mpsc::Receiver<PipeLine>),
+    slots: Vec<PipeSlot>,
+    /// The queue drained: no more spawns, and EOF is a clean exit.
+    closing: bool,
+}
+
+impl Pipes<'_, '_, '_> {
+    fn spawn(&mut self, slot: usize) -> Result<(), EngineError> {
+        let (program, base_args) = match &self.backend.launcher {
+            Some((p, a)) => (p.clone(), a.clone()),
+            None => (
+                std::env::current_exe().map_err(|e| EngineError::io("locating own binary", e))?,
+                vec!["sweep-worker".to_string()],
+            ),
+        };
+        let mut cmd = Command::new(program);
+        cmd.args(base_args)
+            .arg("--spec-json")
+            .arg(self.spec_path)
+            .arg("--leases")
+            .arg("--worker")
+            .arg(slot.to_string())
+            .arg("--jobs")
+            .arg(self.jobs.to_string())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit());
+        match self.ctx.cache.disk_dir() {
+            Some(dir) => cmd.arg("--cache").arg(dir),
+            None => cmd.arg("--no-cache"),
+        };
+        if self.ctx.telemetry.is_enabled() {
+            cmd.arg("--telemetry");
         }
-        if !leases.is_drained() {
-            return Err(EngineError::worker(
-                None,
-                "workers exhausted their retry budget before the lease queue drained",
-            ));
+        self.ctx.telemetry.count("worker_spawns", 1);
+        let mut child = cmd
+            .spawn()
+            .map_err(|e| EngineError::worker(slot, format!("spawning sweep worker: {e}")))?;
+        let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+        let s = &mut self.slots[slot];
+        s.stdin = child.stdin.take();
+        s.child = Some(child);
+        let (tx, generation) = (self.lines.0.clone(), s.generation);
+        self.scope.spawn(move || {
+            forward_events(stdout, |read| tx.send((slot, generation, read)).is_ok())
+        });
+        Ok(())
+    }
+
+    /// Stop a failed slot's worker and report the leases it held. The
+    /// slot re-spawns once; a second failure retires it.
+    fn fail(&mut self, slot: usize, why: String, kind: Option<String>, out: &mut Vec<Report>) {
+        let s = &mut self.slots[slot];
+        if let Some(mut child) = s.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        s.stdin = None;
+        s.joined = false;
+        s.generation += 1;
+        if !self.closing && std::mem::replace(&mut s.respawned, true) {
+            s.retired = true;
+            self.ctx.telemetry.count("worker_slots_retired", 1);
+        }
+        out.push(Report::Lost(Lost {
+            who: format!("sweep worker {slot}"),
+            slot: Some(slot),
+            leases: std::mem::take(&mut s.held).into_iter().collect(),
+            why,
+            kind,
+        }));
+    }
+
+    /// Act on one forwarded line of a worker's stdout.
+    fn on_line(&mut self, (slot, generation, read): PipeLine, out: &mut Vec<Report>) {
+        let s = &mut self.slots[slot];
+        if generation != s.generation {
+            return;
+        }
+        match read {
+            Some(Ok(CampaignEvent::Error { message, kind })) => {
+                let kind = kind.unwrap_or_else(|| "unknown".into());
+                self.fail(slot, message, Some(kind), out);
+            }
+            Some(Ok(hello @ CampaignEvent::Hello { .. })) if !s.joined => {
+                s.joined = true;
+                out.push(Report::Event(slot, hello));
+            }
+            Some(Ok(_)) if !s.joined => {
+                let why = "protocol violation: first event was not hello".into();
+                self.fail(slot, why, None, out);
+            }
+            Some(Ok(event)) => {
+                if let CampaignEvent::LeaseDone { lease_id, .. } = &event {
+                    s.held.remove(lease_id);
+                }
+                out.push(Report::Event(slot, event));
+            }
+            Some(Err(why)) => self.fail(slot, why, None, out),
+            None if self.closing => {
+                // Every lease is completed and merged; a worker that
+                // botches its own exit is not worth failing the campaign.
+                let exit = s.child.take().map(|mut c| c.wait());
+                if !matches!(exit, Some(Ok(status)) if status.success()) {
+                    self.ctx.telemetry.count("worker_exit_nonzero", 1);
+                }
+            }
+            None if s.joined => self.fail(slot, "stream ended mid-lease".into(), None, out),
+            None => {
+                let why = "stream ended before its hello event".into();
+                self.fail(slot, why, None, out);
+            }
+        }
+    }
+}
+
+impl Transport for Pipes<'_, '_, '_> {
+    fn room(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|s| s.joined && s.stdin.is_some())
+            .map(|s| self.jobs.saturating_sub(s.held.len()))
+            .sum()
+    }
+
+    fn grant(&mut self, lease: WorkLease, _attempt: usize) -> Result<(), EngineError> {
+        let jobs = self.jobs;
+        let s = self
+            .slots
+            .iter_mut()
+            .find(|s| s.joined && s.stdin.is_some() && s.held.len() < jobs)
+            .expect("leases are granted within room()");
+        s.held.insert(lease.lease_id);
+        let stdin = s.stdin.as_mut().expect("checked above");
+        if writeln!(stdin, "{}", encode_lease(&lease)).is_err() {
+            // The worker stopped reading its leases: stop it, and its
+            // reader's EOF reports the leases lost.
+            s.stdin = None;
+            if let Some(child) = &mut s.child {
+                let _ = child.kill();
+            }
         }
         Ok(())
     }
+
+    fn wait(&mut self, out: &mut Vec<Report>) -> Result<(), EngineError> {
+        for slot in 0..self.slots.len() {
+            let s = &self.slots[slot];
+            if s.child.is_none() && !s.retired && !self.closing {
+                self.spawn(slot)?;
+            }
+        }
+        if self.slots.iter().all(|s| s.child.is_none()) {
+            return Ok(());
+        }
+        // Take every line already queued: one wake-up per burst, not
+        // per event, keeps the coordinator off the workers' cores.
+        let first = self.lines.1.recv().expect("the transport holds a sender");
+        let burst: Vec<PipeLine> = std::iter::once(first)
+            .chain(self.lines.1.try_iter())
+            .collect();
+        for line in burst {
+            self.on_line(line, out);
+        }
+        Ok(())
+    }
+
+    fn exhausted(&self) -> bool {
+        self.slots.iter().all(|s| s.retired)
+    }
+
+    fn end(&mut self, drained: bool, out: &mut Vec<Report>) {
+        if !drained {
+            return; // dropping the transport stops the workers
+        }
+        // A closed lease pipe ends the worker's session: it sends its
+        // telemetry and `done` events and exits.
+        self.closing = true;
+        for s in &mut self.slots {
+            s.stdin = None;
+        }
+        while self.slots.iter().any(|s| s.child.is_some()) {
+            let _ = self.wait(out);
+        }
+    }
+}
+
+impl Drop for Pipes<'_, '_, '_> {
+    /// Leave no worker running, or its reader thread would keep the
+    /// enclosing thread scope from joining.
+    fn drop(&mut self) {
+        for mut child in self.slots.iter_mut().filter_map(|s| s.child.take()) {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Forward one worker event stream to `send` line by line: each decoded
+/// event, or the failure that ended the stream (a broken read or an
+/// undecodable line), then `None` at EOF. Stops early once `send`
+/// returns `false` (nobody listens). After an undecodable line the
+/// stream is untrusted, but it is still drained to EOF: closing a live
+/// worker's pipe early would kill it mid-write (EPIPE) instead of
+/// letting it finish — its results are in the shared cache regardless
+/// — and exit cleanly.
+fn forward_events(
+    reader: impl BufRead,
+    send: impl Fn(Option<Result<CampaignEvent, String>>) -> bool,
+) {
+    let mut corrupt = false;
+    for line in reader.lines() {
+        let Ok(line) = line else {
+            // The pipe was torn down mid-stream: the worker is gone.
+            send(Some(Err("stream broke mid-read".into())));
+            return;
+        };
+        if corrupt {
+            continue;
+        }
+        let event = decode_event(&line);
+        corrupt = event.is_err();
+        if !send(Some(event)) {
+            return;
+        }
+    }
+    send(None);
 }
 
 /// Merges a campaign's event stream: row re-sequencing into the sinks,
@@ -592,14 +541,12 @@ impl ExecBackend for MultiProcess {
 /// [`Plan`](CampaignEvent::Plan) event fixes the expected cell,
 /// reference and lease totals, and a stream without one is rejected.
 ///
-/// `dedup` mode (the [`Campaign`] core) tolerates duplicate
-/// deliveries — what a re-queued lease or a re-spawned worker
-/// produces — by keeping the first copy of every cell, reference,
-/// lease total and session event. Strict mode ([`merge_event_streams`],
-/// which replays logged streams with no retry semantics) passes every
-/// event through, so a repeated cell is a protocol violation.
+/// Duplicate deliveries — what a re-queued lease or a re-spawned
+/// worker produces, live in [`Campaign::run`] or captured in a stream
+/// [`merge_event_streams`] replays — are tolerated by keeping the first
+/// copy of every cell, reference, lease total and session event.
+#[derive(Default)]
 pub(crate) struct Merge {
-    dedup: bool,
     /// `(cells, references, leases)` from the coordinator's plan.
     plan: Option<(usize, usize, usize)>,
     reorder: Reorderer,
@@ -619,25 +566,6 @@ pub(crate) struct Merge {
 }
 
 impl Merge {
-    pub(crate) fn new(dedup: bool) -> Merge {
-        Merge {
-            dedup,
-            plan: None,
-            reorder: Reorderer::new(),
-            rows: Vec::new(),
-            seen_cells: HashSet::new(),
-            seen_scenarios: HashSet::new(),
-            seen_sessions: HashSet::new(),
-            lease_done: BTreeSet::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            cells_computed: 0,
-            cells_memory_hits: 0,
-            cells_disk_hits: 0,
-            first_error: None,
-        }
-    }
-
     pub(crate) fn record_error(&mut self, e: EngineError) {
         self.first_error.get_or_insert(e);
     }
@@ -646,23 +574,45 @@ impl Merge {
         self.first_error.is_some()
     }
 
-    /// Dedup gate (dedup mode only): returns `true` when this event
-    /// re-delivers something already merged — a re-queued lease's or a
-    /// re-spawned worker's duplicate — so neither observers (progress
-    /// counters!) nor the row pipeline see it twice. References dedup
-    /// across workers by their global scenario index.
-    pub(crate) fn is_duplicate(&mut self, source: usize, event: &CampaignEvent) -> bool {
-        if !self.dedup {
-            return false;
+    /// Merge one delivered event, live or replayed: drop a duplicate
+    /// before anything sees it, then fold a worker's telemetry snapshot
+    /// into `telemetry` and feed the observers and the row pipeline.
+    fn accept(
+        &mut self,
+        source: usize,
+        event: CampaignEvent,
+        telemetry: &Telemetry,
+        observers: &mut [&mut dyn CampaignObserver],
+        sinks: &mut [&mut dyn ResultSink],
+    ) {
+        if self.is_duplicate(source, &event) {
+            return;
         }
+        if let CampaignEvent::Telemetry { snapshot, .. } = &event {
+            telemetry.merge(snapshot);
+        }
+        for obs in observers.iter_mut() {
+            if let Err(e) = obs.on_event(&event) {
+                self.record_error(e);
+            }
+        }
+        self.observe(source, event, sinks);
+    }
+
+    /// Dedup gate: returns `true` when this event re-delivers something
+    /// already merged — a re-queued lease's or a re-spawned worker's
+    /// duplicate — so neither observers (progress counters!) nor the
+    /// row pipeline see it twice. References dedup across workers by
+    /// their global scenario index.
+    fn is_duplicate(&mut self, source: usize, event: &CampaignEvent) -> bool {
         match event {
             CampaignEvent::Plan { .. } => self.plan.is_some(),
             CampaignEvent::Hello { shard, .. } => !self.seen_sessions.insert(("hello", *shard)),
             CampaignEvent::Reference { scenario, .. } => {
                 scenario.is_some_and(|g| !self.seen_scenarios.insert(g))
             }
-            CampaignEvent::Cell { index, .. } => self.seen_cells.contains(index),
-            CampaignEvent::LeaseDone { lease_id, .. } => self.lease_done.contains(lease_id),
+            CampaignEvent::Cell { index, .. } => !self.seen_cells.insert(*index),
+            CampaignEvent::LeaseDone { lease_id, .. } => !self.lease_done.insert(*lease_id),
             CampaignEvent::Done { .. } => !self.seen_sessions.insert(("done", source)),
             // A re-spawned worker re-sends its snapshot; merge each
             // source's telemetry exactly once.
@@ -675,12 +625,7 @@ impl Merge {
         }
     }
 
-    pub(crate) fn observe(
-        &mut self,
-        source: usize,
-        event: CampaignEvent,
-        sinks: &mut [&mut dyn ResultSink],
-    ) {
+    fn observe(&mut self, source: usize, event: CampaignEvent, sinks: &mut [&mut dyn ResultSink]) {
         match event {
             CampaignEvent::Plan {
                 cells,
@@ -692,9 +637,6 @@ impl Merge {
             CampaignEvent::Cell {
                 index, tier, row, ..
             } => {
-                if self.dedup && !self.seen_cells.insert(index) {
-                    return;
-                }
                 match tier {
                     None => self.cells_computed += 1,
                     Some(crate::cache::CacheTier::Memory) => self.cells_memory_hits += 1,
@@ -720,18 +662,11 @@ impl Merge {
                         .get_or_insert(EngineError::sink(failed_cell, format!("sink row: {e}")));
                 }
             }
-            CampaignEvent::LeaseDone {
-                lease_id,
-                hits,
-                misses,
-                ..
-            } => {
-                // Per-attempt cache totals, deduplicated by lease id:
-                // a re-queued lease's totals count once.
-                if self.lease_done.insert(lease_id) {
-                    self.cache_hits += hits;
-                    self.cache_misses += misses;
-                }
+            CampaignEvent::LeaseDone { hits, misses, .. } => {
+                // Per-attempt cache totals; the dedup gate lets a
+                // re-queued lease's totals through once.
+                self.cache_hits += hits;
+                self.cache_misses += misses;
             }
             CampaignEvent::Error { message, .. } => {
                 self.first_error
@@ -832,10 +767,14 @@ impl Merge {
 /// in-process run over the same cache. Progress events feed `progress`
 /// as they arrive.
 ///
+/// A captured stream may carry a re-queued lease's events twice (its
+/// failed attempt's and the retry's): replays pass the same duplicate
+/// gate as a live run, ahead of `progress`, so every cell counts once.
+///
 /// Fails if any stream reports [`CampaignEvent::Error`] or is
 /// malformed, if no stream carries a plan, or if the merged rows and
 /// [`LeaseDone`](CampaignEvent::LeaseDone) events do not cover every
-/// planned cell and lease exactly once.
+/// planned cell and lease.
 pub fn merge_event_streams<R: BufRead + Send>(
     workers: Vec<R>,
     sinks: &mut [&mut dyn ResultSink],
@@ -853,52 +792,25 @@ pub fn merge_event_streams<R: BufRead + Send>(
             .map_err(|e| EngineError::sink(None, format!("sink begin: {e}")))?;
     }
 
-    // Strict merge: replayed streams have no retry semantics, so any
-    // repeated or overlapping delivery is a protocol violation.
-    let mut merge = Merge::new(false);
-    let (tx, rx) = mpsc::channel::<(usize, Result<CampaignEvent, String>)>();
+    let mut merge = Merge::default();
+    let disabled = Telemetry::disabled();
+    let (tx, rx) = mpsc::channel();
     std::thread::scope(|scope| {
         for (w, reader) in workers.into_iter().enumerate() {
             let tx = tx.clone();
-            scope.spawn(move || {
-                // After a corrupt line the stream is untrusted, but it
-                // is still drained to EOF: closing the pipe early would
-                // kill a live worker mid-write (EPIPE) instead of
-                // letting it finish — its results are in the shared
-                // cache regardless — and exit cleanly.
-                let mut corrupt = false;
-                for line in reader.lines() {
-                    let Ok(line) = line else {
-                        // Pipe torn down mid-stream; the worker is
-                        // gone and the completeness checks will fail.
-                        let _ = tx.send((w, Err(format!("worker {w} stream broke mid-read"))));
-                        return;
-                    };
-                    if corrupt {
-                        continue;
-                    }
-                    let event = decode_event(&line);
-                    corrupt = event.is_err();
-                    if tx.send((w, event)).is_err() {
-                        return; // coordinator stopped listening
-                    }
-                }
-            });
+            scope.spawn(move || forward_events(reader, |read| tx.send((w, read)).is_ok()));
         }
         drop(tx);
-
-        for (w, event) in rx {
-            match event {
-                Ok(ev) => {
-                    progress.observe(&ev);
-                    merge.observe(w, ev, sinks);
-                }
-                Err(e) => merge.record_error(EngineError::worker(None, e)),
+        for (w, read) in rx {
+            match read {
+                Some(Ok(ev)) => merge.accept(w, ev, &disabled, &mut [&mut *progress], sinks),
+                Some(Err(e)) => merge.record_error(EngineError::worker(w, e)),
+                None => {}
             }
         }
     });
     progress.finish();
-    merge.finish(sinks, &Telemetry::disabled(), start)
+    merge.finish(sinks, &disabled, start)
 }
 
 /// One concrete DAG instance in a [`DryRun`] report.
@@ -962,7 +874,7 @@ impl Campaign {
     /// registry, an in-memory cache, the [`InProcess`] backend, no
     /// sinks, no observers.
     pub fn builder(spec: SweepSpec) -> CampaignBuilder {
-        CampaignBuilder {
+        CampaignBuilder(Campaign {
             spec,
             registry: EstimatorRegistry::standard(),
             cache: Arc::new(ResultCache::in_memory()),
@@ -971,7 +883,7 @@ impl Campaign {
             observers: Vec::new(),
             telemetry: Telemetry::disabled(),
             cancel: CancelToken::new(),
-        }
+        })
     }
 
     /// The campaign's validated spec.
@@ -1008,17 +920,17 @@ impl Campaign {
             .iter_mut()
             .map(|b| &mut **b as &mut dyn ResultSink)
             .collect();
-        spec.validate()?;
-        if backend.workers() == 0 {
-            return Err(EngineError::spec("backend needs at least one worker"));
-        }
+        let mut observers: Vec<&mut dyn CampaignObserver> = observers
+            .iter_mut()
+            .map(|b| &mut **b as &mut dyn CampaignObserver)
+            .collect();
         let plan = CampaignPlan::new(&spec, &registry)?;
         let leases = LeaseQueue::new(plan.leases().to_vec());
         for sink in sinks.iter_mut() {
             sink.begin()
                 .map_err(|e| EngineError::sink(None, format!("sink begin: {e}")))?;
         }
-        let mut merge = Merge::new(true);
+        let mut merge = Merge::default();
         // Bounded to one in-flight event: backends run at most two
         // events ahead of the observers, so an observer that flips the
         // campaign's [`CancelToken`] (the seam the service's `cancel`
@@ -1077,27 +989,9 @@ impl Campaign {
                 // backend cannot be cancelled mid-cell — completed
                 // cells still land in the shared cache — but no
                 // further downstream work happens.
-                if merge.has_error() {
-                    continue;
+                if !merge.has_error() {
+                    merge.accept(source, event, &telemetry, &mut observers, &mut sinks);
                 }
-                // A re-queued lease re-delivers events its crashed
-                // attempt already sent; drop them before observers so
-                // progress counters and custom monitors stay exact.
-                if merge.is_duplicate(source, &event) {
-                    continue;
-                }
-                // Fold each worker's aggregate into the campaign's
-                // collector — the same path whether the snapshot came
-                // from an in-process session or over a worker pipe.
-                if let CampaignEvent::Telemetry { snapshot, .. } = &event {
-                    telemetry.merge(snapshot);
-                }
-                for obs in observers.iter_mut() {
-                    if let Err(e) = obs.on_event(&event) {
-                        merge.record_error(e);
-                    }
-                }
-                merge.observe(source, event, &mut sinks);
             }
             handle.join().expect("backend thread panicked")
         });
@@ -1198,21 +1092,12 @@ impl Campaign {
 }
 
 /// Configures a [`Campaign`] (see [`Campaign::builder`]).
-pub struct CampaignBuilder {
-    spec: SweepSpec,
-    registry: EstimatorRegistry,
-    cache: Arc<ResultCache>,
-    backend: Box<dyn ExecBackend>,
-    sinks: Vec<Box<dyn ResultSink>>,
-    observers: Vec<Box<dyn CampaignObserver>>,
-    telemetry: Telemetry,
-    cancel: CancelToken,
-}
+pub struct CampaignBuilder(Campaign);
 
 impl CampaignBuilder {
     /// Replace the estimator registry (default: the standard one).
     pub fn registry(mut self, registry: EstimatorRegistry) -> Self {
-        self.registry = registry;
+        self.0.registry = registry;
         self
     }
 
@@ -1220,33 +1105,33 @@ impl CampaignBuilder {
     /// `Arc<ResultCache>` — pass a clone of the `Arc` to keep a handle
     /// for post-run maintenance like [`ResultCache::gc_disk`]).
     pub fn cache(mut self, cache: impl Into<Arc<ResultCache>>) -> Self {
-        self.cache = cache.into();
+        self.0.cache = cache.into();
         self
     }
 
     /// Select the execution backend (default: [`InProcess`]).
     pub fn backend(mut self, backend: impl ExecBackend + 'static) -> Self {
-        self.backend = Box::new(backend);
+        self.0.backend = Box::new(backend);
         self
     }
 
     /// Cap the campaign's worker threads (overrides the spec's `jobs`;
     /// results are identical at any setting).
     pub fn jobs(mut self, jobs: usize) -> Self {
-        self.spec.jobs = Some(jobs);
+        self.0.spec.jobs = Some(jobs);
         self
     }
 
     /// Attach an ordered row consumer (every sink receives every row,
     /// in deterministic cell order).
     pub fn sink(mut self, sink: impl ResultSink + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
+        self.0.sinks.push(Box::new(sink));
         self
     }
 
     /// Subscribe a completion-order event observer.
     pub fn observer(mut self, observer: impl CampaignObserver + 'static) -> Self {
-        self.observers.push(Box::new(observer));
+        self.0.observers.push(Box::new(observer));
         self
     }
 
@@ -1267,7 +1152,7 @@ impl CampaignBuilder {
     /// [`MultiProcess`] workers are spawned with `--telemetry` and
     /// their snapshots merge in over the wire.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.0.telemetry = telemetry;
         self
     }
 
@@ -1279,7 +1164,7 @@ impl CampaignBuilder {
     /// cache, so re-running the same spec over the same cache resumes
     /// from where the cancelled run stopped.
     pub fn cancel_token(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
+        self.0.cancel = cancel;
         self
     }
 
@@ -1287,32 +1172,14 @@ impl CampaignBuilder {
     /// Spec problems (empty axes, bad estimator knobs, `jobs = 0`)
     /// fail here, before any filesystem or process work.
     pub fn build(self) -> Result<Campaign, EngineError> {
-        let CampaignBuilder {
-            spec,
-            registry,
-            cache,
-            backend,
-            sinks,
-            observers,
-            telemetry,
-            cancel,
-        } = self;
-        spec.validate()?;
-        for est in &spec.estimators {
-            registry.build(est, 0)?; // constructors are cheap; reject bad knobs now
+        let campaign = self.0;
+        campaign.spec.validate()?;
+        for est in &campaign.spec.estimators {
+            campaign.registry.build(est, 0)?; // constructors are cheap; reject bad knobs now
         }
-        if backend.workers() == 0 {
+        if campaign.backend.workers() == 0 {
             return Err(EngineError::spec("backend needs at least one worker"));
         }
-        Ok(Campaign {
-            spec,
-            registry,
-            cache,
-            backend,
-            sinks,
-            observers,
-            telemetry,
-            cancel,
-        })
+        Ok(campaign)
     }
 }

@@ -9,7 +9,7 @@
 //! one lease per (instance × estimator) group, so the per-group
 //! estimator preparation amortizes — and workers *pull* the next batch
 //! whenever they finish one. A lease whose worker crashes is re-queued
-//! (bounded by [`LeaseQueue::with_max_attempts`]) and any worker may
+//! (at most once: each lease is granted at most twice) and any worker may
 //! pick it up: results are deterministic and the campaign merge
 //! deduplicates by cell index, so duplicated attempts are harmless.
 //!
@@ -20,9 +20,9 @@
 //!   [`Plan`](crate::CampaignEvent::Plan) event (under leasing, a
 //!   worker cannot announce its share up front).
 //! * [`LeaseQueue`] — the thread-safe ready queue: [`LeaseQueue::next`]
-//!   / [`LeaseQueue::poll_next`] hand out batches,
-//!   [`LeaseQueue::complete`] retires them, [`LeaseQueue::requeue`]
-//!   returns a crashed worker's batch for another attempt.
+//!   hands out batches, [`LeaseQueue::complete`] retires them,
+//!   [`LeaseQueue::requeue`] returns a crashed worker's batch for
+//!   another attempt.
 //! * [`LeaseExecutor`] — the cache-first cell evaluator shared by every
 //!   consumer (in-process threads, `sweep-worker --leases` processes,
 //!   spool-directory workers), built on the same
@@ -52,8 +52,8 @@ use serde::{Deserialize, Serialize, Value};
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::BufRead;
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 use stochdag_core::{Estimate, Estimator, EstimatorSpec, MonteCarloEstimator, PreparedEstimator};
 use stochdag_dag::{structural_hash, PreparedDag};
 
@@ -103,60 +103,32 @@ pub fn decode_lease(line: &str) -> Result<WorkLease, String> {
         .map_err(|e| format!("bad lease request {line:?}: {e}"))
 }
 
-/// What [`LeaseQueue::poll_next`] observed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LeasePoll {
-    /// A lease was granted; execute it and [`LeaseQueue::complete`] it.
-    Ready(WorkLease),
-    /// Nothing ready right now, but uncompleted leases are outstanding
-    /// on other consumers — poll again (checking cancellation first).
-    Pending,
-    /// Every lease completed, or the queue was closed; stop consuming.
-    Drained,
-}
+/// How often one lease may be granted: the first attempt plus one retry.
+const MAX_ATTEMPTS: usize = 2;
 
 struct QueueInner {
     ready: VecDeque<usize>,
     by_id: HashMap<usize, WorkLease>,
-    outstanding: HashSet<usize>,
     completed: HashSet<usize>,
     attempts: HashMap<usize, usize>,
-    total: usize,
-    max_attempts: usize,
     closed: bool,
-}
-
-impl QueueInner {
-    fn grant(&mut self) -> Option<WorkLease> {
-        let id = self.ready.pop_front()?;
-        *self.attempts.entry(id).or_insert(0) += 1;
-        self.outstanding.insert(id);
-        Some(self.by_id[&id].clone())
-    }
-
-    fn drained(&self) -> bool {
-        self.closed || self.completed.len() == self.total
-    }
 }
 
 /// The coordinator's ready queue of [`WorkLease`] batches — the heart
 /// of `ExecBackend` v2's pull scheduling.
 ///
-/// Consumers (in-process worker threads, the per-slot pipe pumps of
-/// [`MultiProcess`](crate::MultiProcess), the
-/// [`SharedFs`](crate::SharedFs) spool coordinator) call
-/// [`next`](LeaseQueue::next) or [`poll_next`](LeaseQueue::poll_next)
-/// to pull a batch, and [`complete`](LeaseQueue::complete) when its
+/// Consumers (in-process worker threads, the coordinator loop of
+/// [`MultiProcess`](crate::MultiProcess) and
+/// [`SharedFs`](crate::SharedFs)) call [`next`](LeaseQueue::next) to
+/// pull a batch, and [`complete`](LeaseQueue::complete) when its
 /// `LeaseDone` arrives. When a consumer dies mid-lease,
 /// [`requeue`](LeaseQueue::requeue) puts the batch back for any other
-/// consumer — up to `max_attempts` grants per lease (default 2: the
-/// initial attempt plus one retry), after which `requeue` refuses and
-/// the campaign fails.
+/// consumer — up to two grants per lease (the initial attempt plus one
+/// retry), after which `requeue` refuses and the campaign fails.
 ///
 /// All methods take `&self`; the queue is fully thread-safe.
 pub struct LeaseQueue {
     inner: Mutex<QueueInner>,
-    cvar: Condvar,
 }
 
 impl LeaseQueue {
@@ -168,63 +140,33 @@ impl LeaseQueue {
         debug_assert_eq!(ready.len(), by_id.len(), "lease ids must be unique");
         LeaseQueue {
             inner: Mutex::new(QueueInner {
-                total: by_id.len(),
                 ready,
                 by_id,
-                outstanding: HashSet::new(),
                 completed: HashSet::new(),
                 attempts: HashMap::new(),
-                max_attempts: 2,
                 closed: false,
             }),
-            cvar: Condvar::new(),
         }
-    }
-
-    /// Change the per-lease grant cap (minimum 1).
-    pub fn with_max_attempts(self, max_attempts: usize) -> LeaseQueue {
-        self.inner.lock().expect("lease queue").max_attempts = max_attempts.max(1);
-        self
     }
 
     /// Grant the next ready lease, or `None` when nothing is ready
-    /// *right now* (other consumers may still fail and re-queue; use
-    /// [`poll_next`](LeaseQueue::poll_next) to distinguish).
+    /// *right now* (other consumers may still fail and re-queue; see
+    /// [`is_drained`](LeaseQueue::is_drained)) or the queue was
+    /// [`close`](LeaseQueue::close)d.
     pub fn next(&self) -> Option<WorkLease> {
-        self.inner.lock().expect("lease queue").grant()
-    }
-
-    /// Grant the next ready lease, waiting up to `wait` for one to
-    /// appear. Returns [`LeasePoll::Pending`] after the wait so callers
-    /// can check cancellation between polls, and
-    /// [`LeasePoll::Drained`] once every lease completed (or the queue
-    /// was [`close`](LeaseQueue::close)d).
-    pub fn poll_next(&self, wait: Duration) -> LeasePoll {
         let mut inner = self.inner.lock().expect("lease queue");
-        if let Some(l) = inner.grant() {
-            return LeasePoll::Ready(l);
+        if inner.closed {
+            return None;
         }
-        if inner.drained() {
-            return LeasePoll::Drained;
-        }
-        if !wait.is_zero() {
-            let (mut inner, _timeout) = self.cvar.wait_timeout(inner, wait).expect("lease queue");
-            if let Some(l) = inner.grant() {
-                return LeasePoll::Ready(l);
-            }
-            if inner.drained() {
-                return LeasePoll::Drained;
-            }
-        }
-        LeasePoll::Pending
+        let id = inner.ready.pop_front()?;
+        *inner.attempts.entry(id).or_insert(0) += 1;
+        Some(inner.by_id[&id].clone())
     }
 
     /// Retire a finished lease (its `LeaseDone` arrived).
     pub fn complete(&self, lease_id: usize) {
         let mut inner = self.inner.lock().expect("lease queue");
-        inner.outstanding.remove(&lease_id);
         inner.completed.insert(lease_id);
-        self.cvar.notify_all();
     }
 
     /// Return a crashed consumer's lease for another attempt. `true`
@@ -237,38 +179,26 @@ impl LeaseQueue {
         if inner.completed.contains(&lease_id) || !inner.by_id.contains_key(&lease_id) {
             return true;
         }
-        if inner.attempts.get(&lease_id).copied().unwrap_or(0) >= inner.max_attempts {
+        if inner.attempts.get(&lease_id).copied().unwrap_or(0) >= MAX_ATTEMPTS {
             return false;
         }
-        inner.outstanding.remove(&lease_id);
         if !inner.ready.contains(&lease_id) {
             inner.ready.push_back(lease_id);
         }
-        self.cvar.notify_all();
         true
     }
 
-    /// Stop handing out leases: every subsequent poll observes
-    /// [`LeasePoll::Drained`]. Used by a fatally-failed consumer so its
-    /// peers wind down instead of waiting forever.
+    /// Stop handing out leases: every later [`next`](LeaseQueue::next)
+    /// returns `None`. Used by a fatally-failed consumer so its peers
+    /// wind down.
     pub fn close(&self) {
         self.inner.lock().expect("lease queue").closed = true;
-        self.cvar.notify_all();
-    }
-
-    /// Whether this lease's `LeaseDone` was recorded.
-    pub fn is_completed(&self, lease_id: usize) -> bool {
-        self.inner
-            .lock()
-            .expect("lease queue")
-            .completed
-            .contains(&lease_id)
     }
 
     /// Whether every lease completed.
     pub fn is_drained(&self) -> bool {
         let inner = self.inner.lock().expect("lease queue");
-        inner.completed.len() == inner.total
+        inner.completed.len() == inner.by_id.len()
     }
 
     /// How often this lease has been granted so far.
@@ -284,17 +214,7 @@ impl LeaseQueue {
 
     /// Total number of leases in the campaign.
     pub fn total(&self) -> usize {
-        self.inner.lock().expect("lease queue").total
-    }
-
-    /// Leases granted but neither completed nor re-queued.
-    pub fn outstanding_count(&self) -> usize {
-        self.inner.lock().expect("lease queue").outstanding.len()
-    }
-
-    /// Leases completed so far.
-    pub fn completed_count(&self) -> usize {
-        self.inner.lock().expect("lease queue").completed.len()
+        self.inner.lock().expect("lease queue").by_id.len()
     }
 }
 
@@ -807,33 +727,16 @@ mod tests {
         let a = q.next().unwrap();
         let b = q.next().unwrap();
         assert_eq!((a.lease_id, b.lease_id), (0, 1));
-        assert_eq!(q.outstanding_count(), 2);
         q.complete(a.lease_id);
         q.complete(b.lease_id);
         assert!(!q.is_drained());
-        match q.poll_next(Duration::ZERO) {
-            LeasePoll::Ready(c) => {
-                assert_eq!(c.lease_id, 2);
-                q.complete(2);
-            }
-            other => panic!("expected a grant, got {other:?}"),
-        }
+        let c = q.next().unwrap();
+        assert_eq!(c.lease_id, 2);
+        assert_eq!(q.next(), None, "nothing ready while lease 2 is outstanding");
+        assert!(!q.is_drained(), "an outstanding lease is not drained");
+        q.complete(2);
         assert!(q.is_drained());
-        assert_eq!(q.poll_next(Duration::ZERO), LeasePoll::Drained);
         assert_eq!(q.next(), None);
-    }
-
-    #[test]
-    fn poll_reports_pending_while_leases_are_outstanding() {
-        let q = LeaseQueue::new(vec![lease(0)]);
-        let granted = q.next().unwrap();
-        assert_eq!(
-            q.poll_next(Duration::from_millis(1)),
-            LeasePoll::Pending,
-            "incomplete outstanding lease must not read as drained"
-        );
-        q.complete(granted.lease_id);
-        assert_eq!(q.poll_next(Duration::ZERO), LeasePoll::Drained);
     }
 
     #[test]
@@ -855,15 +758,15 @@ mod tests {
         // raced a slow worker) is a harmless no-op.
         q.complete(again.lease_id);
         assert!(q.requeue(again.lease_id));
-        assert_eq!(q.completed_count(), 1);
+        assert_eq!(q.next(), None, "a completed lease is not granted again");
     }
 
     #[test]
     fn close_drains_waiting_consumers() {
-        let q = LeaseQueue::new(vec![lease(0)]);
+        let q = LeaseQueue::new(vec![lease(0), lease(1)]);
         let _granted = q.next().unwrap();
         q.close();
-        assert_eq!(q.poll_next(Duration::from_millis(50)), LeasePoll::Drained);
+        assert_eq!(q.next(), None);
         assert!(!q.is_drained(), "close() is not completion");
     }
 

@@ -75,8 +75,12 @@
 //! one on-disk cache, streaming leases over stdin pipes and
 //! line-delimited JSON [`CampaignEvent`]s back over stdout;
 //! [`SharedFs`] coordinates remote workers through a shared-filesystem
-//! spool directory instead of pipes. Either way the campaign core
-//! merges the streams into sink output **byte-identical** to an
+//! spool directory instead of pipes: the two are transports under one
+//! coordinator loop that grants leases and re-queues a failed worker's
+//! leases (the spool also bounds how long its workers may stay
+//! silent). Either way the campaign core drops
+//! duplicate deliveries (live, and in [`merge_event_streams`] replays)
+//! and merges the streams into sink output **byte-identical** to an
 //! [`InProcess`] run over the same cache — with live progress/ETA from
 //! a [`ProgressReporter`]. The `stochdag sweep --workers N` /
 //! `sweep --spool DIR` CLI is a thin shell over exactly this.
@@ -89,6 +93,7 @@
 mod cache;
 mod campaign;
 mod cancel;
+mod coordinator;
 mod error;
 mod keys;
 mod lease;
@@ -110,9 +115,7 @@ pub use campaign::{
 pub use cancel::CancelToken;
 pub use error::EngineError;
 pub use keys::StableHasher;
-pub use lease::{
-    decode_lease, encode_lease, CampaignPlan, LeaseExecutor, LeasePoll, LeaseQueue, WorkLease,
-};
+pub use lease::{decode_lease, encode_lease, CampaignPlan, LeaseExecutor, LeaseQueue, WorkLease};
 pub use observer::{CampaignObserver, FnObserver};
 pub use progress::{ProgressMode, ProgressReporter};
 pub use protocol::{decode_event, encode_event, CampaignEvent, WireObserver};

@@ -31,14 +31,17 @@
 //! standard [`LeaseExecutor`], and publish each attempt's event stream
 //! to `events/` — ending in
 //! [`LeaseDone`](crate::CampaignEvent::LeaseDone) on success or an
-//! [`Error`](crate::CampaignEvent::Error) tail on failure. The
-//! coordinator merges complete streams and **re-queues** failed or
-//! stale attempts (a claim older than the lease timeout with no event
-//! file is a dead worker) under the campaign's per-lease attempt cap,
-//! exactly like a local [`MultiProcess`](crate::MultiProcess) crash.
+//! [`Error`](crate::CampaignEvent::Error) tail on failure. The spool is
+//! one transport of the coordinator loop that
+//! [`MultiProcess`](crate::MultiProcess) runs over pipes: the
+//! coordinator merges each published stream and **re-queues** failed
+//! or stale attempts (a claim the coordinator has seen for longer than
+//! the lease timeout with no event file is a dead worker) under the
+//! campaign's per-lease attempt cap, exactly like a local worker crash.
 //! Output stays byte-identical to a single-process run because every
 //! consumer shares the [`LeaseExecutor`] definitions and the campaign
-//! merge re-sequences rows by global cell index.
+//! merge drops duplicate deliveries and re-sequences rows by global
+//! cell index.
 //!
 //! Spool workers run with telemetry disabled (snapshots would need
 //! another spool channel for little insight — worker timings are in
@@ -51,6 +54,7 @@
 //! shows who did the work and how often leases had to be re-granted.
 
 use crate::campaign::{BackendContext, Deliver, ExecBackend, COORDINATOR_SOURCE};
+use crate::coordinator::{coordinate, Lost, Report, Transport};
 use crate::error::EngineError;
 use crate::lease::{
     decode_lease, drain, encode_lease, CampaignPlan, LeaseExecutor, LeaseQueue, LeaseSource,
@@ -61,11 +65,11 @@ use crate::registry::EstimatorRegistry;
 use crate::spec::SweepSpec;
 use crate::telemetry::Telemetry;
 use serde::Value;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -80,6 +84,16 @@ fn write_atomic(path: &Path, payload: &str) -> Result<(), EngineError> {
         .map_err(|e| EngineError::io(format!("writing spool file {}", path.display()), e))
 }
 
+/// [`write_atomic`] of a JSON object.
+fn write_json(
+    path: &Path,
+    fields: impl IntoIterator<Item = (&'static str, Value)>,
+) -> Result<(), EngineError> {
+    let mut text = String::new();
+    serde::json::write_value(&Value::obj(fields), &mut text);
+    write_atomic(path, &text)
+}
+
 fn lease_file_name(lease_id: usize, attempt: usize) -> String {
     format!("lease-{lease_id:06}-a{attempt}")
 }
@@ -92,15 +106,23 @@ fn parse_lease_stem(stem: &str) -> Option<(usize, usize)> {
     Some((id.parse().ok()?, attempt.parse().ok()?))
 }
 
-/// Sorted directory listing (deterministic scan order across hosts and
-/// filesystems); a missing directory reads as empty.
-fn sorted_dir(dir: &Path) -> Vec<PathBuf> {
-    let mut entries: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Err(_) => return Vec::new(),
-        Ok(rd) => rd.filter_map(|e| e.ok().map(|e| e.path())).collect(),
+/// The `.{ext}` files of `dir` with their stems, sorted (deterministic
+/// scan order across hosts and filesystems). A file still under its
+/// `write_atomic` tmp name does not match; a missing directory reads as
+/// empty.
+fn spool_files(dir: &Path, ext: &str) -> Vec<(PathBuf, String)> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
     };
-    entries.sort();
-    entries
+    let mut files: Vec<(PathBuf, String)> = entries
+        .filter_map(|e| {
+            let path = e.ok()?.path();
+            let stem = path.file_stem()?.to_str()?.to_string();
+            (path.extension()? == ext).then_some((path, stem))
+        })
+        .collect();
+    files.sort();
+    files
 }
 
 /// Drive a campaign through a shared-filesystem spool directory —
@@ -131,10 +153,13 @@ impl SharedFs {
 
     /// How long a claimed lease may sit without its event stream
     /// appearing before the claim is presumed dead and the lease
-    /// re-queued (default 300 s). Set this well above the cost of the
-    /// campaign's most expensive batch: a reclaim of a *live* slow
-    /// worker is harmless (results are deterministic and deduplicated)
-    /// but wastes its work.
+    /// re-queued (default 300 s). The clock starts when the coordinator
+    /// first sees the claim in `leases/claimed/` — not at the claim
+    /// file's mtime, which the claiming rename keeps from when the
+    /// lease was posted and which another host's clock wrote. Set this
+    /// well above the cost of the campaign's most expensive batch: a
+    /// reclaim of a *live* slow worker is harmless (results are
+    /// deterministic and deduplicated) but wastes its work.
     pub fn lease_timeout(mut self, timeout: Duration) -> SharedFs {
         self.lease_timeout = timeout.max(Duration::from_secs(1));
         self
@@ -145,54 +170,6 @@ impl SharedFs {
     pub fn worker_timeout(mut self, timeout: Duration) -> SharedFs {
         self.worker_timeout = timeout.max(Duration::from_secs(1));
         self
-    }
-
-    /// Re-grant every ready lease into `leases/open/` files.
-    fn publish_ready(&self, leases: &LeaseQueue) -> Result<(), EngineError> {
-        while let Some(lease) = leases.next() {
-            let attempt = leases.attempts(lease.lease_id);
-            let path = self
-                .spool
-                .join("leases/open")
-                .join(format!("{}.json", lease_file_name(lease.lease_id, attempt)));
-            write_atomic(&path, &encode_lease(&lease))?;
-        }
-        Ok(())
-    }
-
-    fn stop(&self, verdict: &str) {
-        let _ = write_atomic(&self.spool.join("stop"), verdict);
-    }
-
-    /// Fold the workers' cumulative `stats/{name}.json` files into
-    /// per-worker telemetry counters, counting only the delta since
-    /// the previous harvest (the files are cumulative; counters are
-    /// monotonic sums).
-    fn harvest_worker_stats(&self, telemetry: &Telemetry, seen: &mut BTreeMap<String, (u64, u64)>) {
-        for path in sorted_dir(&self.spool.join("stats")) {
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Some(v) = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|s| serde::json::parse(&s).ok())
-            else {
-                continue; // torn or vanished file; next poll re-reads
-            };
-            let leases = v.get("leases").and_then(Value::as_u64).unwrap_or(0);
-            let cells = v.get("cells").and_then(Value::as_u64).unwrap_or(0);
-            let last = seen.entry(name.to_string()).or_insert((0, 0));
-            if leases > last.0 {
-                telemetry.count(&format!("spool_leases_{name}"), leases - last.0);
-            }
-            if cells > last.1 {
-                telemetry.count(&format!("spool_cells_{name}"), cells - last.1);
-            }
-            *last = (leases.max(last.0), cells.max(last.1));
-        }
     }
 }
 
@@ -207,7 +184,6 @@ impl ExecBackend for SharedFs {
         leases: &LeaseQueue,
         deliver: &Deliver<'_>,
     ) -> Result<(), EngineError> {
-        let start = Instant::now();
         if ctx.cancel.is_cancelled() {
             return Err(EngineError::cancelled());
         }
@@ -219,10 +195,8 @@ impl ExecBackend for SharedFs {
             "stats",
         ] {
             std::fs::create_dir_all(self.spool.join(sub)).map_err(|e| {
-                EngineError::io(
-                    format!("creating spool directory {}", self.spool.display()),
-                    e,
-                )
+                let what = format!("creating spool directory {}", self.spool.display());
+                EngineError::io(what, e)
             })?;
         }
         let spec_path = self.spool.join("spec.json");
@@ -233,238 +207,269 @@ impl ExecBackend for SharedFs {
                 self.spool.display()
             )));
         }
-        let meta = Value::obj([
-            ("name", serde::Serialize::serialize(&ctx.spec.name)),
-            (
-                "cache",
-                match ctx.cache.disk_dir() {
-                    Some(dir) => serde::Serialize::serialize(&dir.display().to_string()),
-                    None => Value::Null,
-                },
-            ),
-        ]);
-        let mut meta_text = String::new();
-        serde::json::write_value(&meta, &mut meta_text);
-        write_atomic(&self.spool.join("meta.json"), &meta_text)?;
+        let cache = match ctx.cache.disk_dir() {
+            Some(dir) => serde::Serialize::serialize(&dir.display().to_string()),
+            None => Value::Null,
+        };
+        let name = serde::Serialize::serialize(&ctx.spec.name);
+        write_json(
+            &self.spool.join("meta.json"),
+            [("name", name), ("cache", cache)],
+        )?;
         // spec.json lands last: its appearance is the signal workers
         // wait on, so meta must already be readable.
         write_atomic(&spec_path, &serde::json::to_string(ctx.spec))?;
-        self.publish_ready(leases)?;
+        let mut spool = Spool {
+            fs: self,
+            ctx,
+            start: Instant::now(),
+            last_report: Instant::now(),
+            scanned: false,
+            slots: BTreeMap::new(),
+            streams: HashSet::new(),
+            done: HashSet::new(),
+            claims: HashMap::new(),
+            stats: BTreeMap::new(),
+        };
+        coordinate(&mut spool, leases, deliver, ctx.telemetry, ctx.cancel)
+    }
+}
 
-        let mut worker_stats: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        let result = (|| {
-            let mut worker_slots: BTreeMap<String, usize> = BTreeMap::new();
-            let mut processed_events: HashSet<PathBuf> = HashSet::new();
-            let mut last_progress = Instant::now();
-            let stall_after = self.lease_timeout + self.worker_timeout;
-            loop {
-                if ctx.cancel.is_cancelled() {
-                    return Err(EngineError::cancelled());
-                }
-                // New worker registrations → one Hello per worker, slot
-                // indices in registration-name order of first sighting.
-                for reg in sorted_dir(&self.spool.join("workers")) {
-                    // Skip a registration still in its `write_atomic` tmp file.
-                    if reg.extension().and_then(|e| e.to_str()) != Some("json") {
-                        continue;
-                    }
-                    let Some(name) = reg.file_stem().and_then(|s| s.to_str()) else {
-                        continue;
-                    };
-                    if worker_slots.contains_key(name) {
-                        continue;
-                    }
-                    let jobs = std::fs::read_to_string(&reg)
-                        .ok()
-                        .and_then(|s| serde::json::parse(&s).ok())
-                        .and_then(|v| v.get("jobs").and_then(Value::as_u64))
-                        .map(|j| j as usize);
-                    let slot = worker_slots.len();
-                    worker_slots.insert(name.to_string(), slot);
-                    last_progress = Instant::now();
-                    deliver(
-                        slot,
-                        CampaignEvent::Hello {
-                            shard: slot,
-                            shard_count: 0,
-                            cells: 0,
-                            references: 0,
-                            version: Some(2),
-                            jobs,
-                        },
-                    )?;
-                }
-                // Completed (or failed) attempt streams.
-                for ev_path in sorted_dir(&self.spool.join("events")) {
-                    if ev_path.extension().and_then(|e| e.to_str()) != Some("jsonl")
-                        || processed_events.contains(&ev_path)
-                    {
-                        continue;
-                    }
-                    let Some((lease_id, _attempt)) = ev_path
-                        .file_stem()
-                        .and_then(|s| s.to_str())
-                        .and_then(parse_lease_stem)
-                    else {
-                        continue;
-                    };
-                    processed_events.insert(ev_path.clone());
-                    last_progress = Instant::now();
-                    if leases.is_completed(lease_id) {
-                        continue; // duplicate attempt (reclaimed slow worker)
-                    }
-                    let text = std::fs::read_to_string(&ev_path).map_err(|e| {
-                        EngineError::io(format!("reading event stream {}", ev_path.display()), e)
-                    })?;
-                    let mut events = Vec::new();
-                    let mut why: Option<String> = None;
-                    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                        match decode_event(line) {
-                            Ok(CampaignEvent::Error { message, kind }) => {
-                                let kind = kind.as_deref().unwrap_or("unknown");
-                                ctx.telemetry.count(&format!("errors_{kind}"), 1);
-                                why = Some(message);
-                                break;
-                            }
-                            Ok(ev) => events.push(ev),
-                            Err(e) => {
-                                why = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    let complete = why.is_none()
-                        && matches!(
-                            events.last(),
-                            Some(CampaignEvent::LeaseDone { lease_id: id, .. }) if *id == lease_id
-                        );
-                    if complete {
-                        for ev in events {
-                            deliver(0, ev)?;
-                        }
-                        leases.complete(lease_id);
-                    } else {
-                        // Failed attempt: merge nothing (its finished
-                        // cells are in the shared cache, so the retry
-                        // is cache-first) and re-queue under the
-                        // per-lease attempt cap.
-                        let why = why.unwrap_or_else(|| "attempt ended without lease_done".into());
-                        if !leases.requeue(lease_id) {
-                            return Err(EngineError::worker(
-                                None,
-                                format!(
-                                    "lease {lease_id} failed after {} attempts (last: {why})",
-                                    leases.attempts(lease_id)
-                                ),
-                            ));
-                        }
-                        eprintln!("spool lease {lease_id} failed ({why}); re-queueing");
-                        ctx.telemetry.count("worker_retries", 1);
-                        self.publish_ready(leases)?;
-                    }
-                }
-                // Stale claims: a claim whose event stream never
-                // appeared within the lease timeout is a dead worker.
-                for claim in sorted_dir(&self.spool.join("leases/claimed")) {
-                    let Some((lease_id, _)) = claim
-                        .file_stem()
-                        .and_then(|s| s.to_str())
-                        .and_then(parse_lease_stem)
-                    else {
-                        continue;
-                    };
-                    if leases.is_completed(lease_id) {
-                        continue;
-                    }
-                    let age = claim
-                        .metadata()
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|t| t.elapsed().ok());
-                    if age.is_some_and(|a| a > self.lease_timeout) {
-                        // Removing the claim is the reclaim lock: only
-                        // one coordinator pass can win the remove.
-                        if std::fs::remove_file(&claim).is_err() {
-                            continue;
-                        }
-                        if !leases.requeue(lease_id) {
-                            return Err(EngineError::worker(
-                                None,
-                                format!(
-                                    "lease {lease_id} failed after {} attempts \
-                                     (last: worker lost; claim went stale)",
-                                    leases.attempts(lease_id)
-                                ),
-                            ));
-                        }
-                        eprintln!("spool lease {lease_id}: claim went stale; re-queueing");
-                        ctx.telemetry.count("worker_retries", 1);
-                        ctx.telemetry.count("spool_reclaims", 1);
-                        self.publish_ready(leases)?;
-                        last_progress = Instant::now();
-                    }
-                }
-                self.harvest_worker_stats(ctx.telemetry, &mut worker_stats);
-                if leases.is_drained() {
-                    // One last harvest after the final drain poll would
-                    // still race the workers' post-lease stats write;
-                    // the grace pass below (after `stop`) settles it.
-                    return Ok(());
-                }
-                if worker_slots.is_empty() && start.elapsed() > self.worker_timeout {
-                    return Err(EngineError::worker(
-                        None,
-                        format!(
-                            "no spool worker registered in {} within {:.0?} — \
-                             launch `sweep-worker --spool` on a host sharing the filesystem",
-                            self.spool.display(),
-                            self.worker_timeout
-                        ),
-                    ));
-                }
-                if last_progress.elapsed() > stall_after {
-                    return Err(EngineError::worker(
-                        None,
-                        format!(
-                            "spool campaign stalled: no lease progress for {stall_after:.0?} \
-                             ({} of {} leases completed)",
-                            leases.completed_count(),
-                            leases.total()
-                        ),
-                    ));
-                }
-                std::thread::sleep(POLL);
+/// The spool transport of [`SharedFs`]: lease files out, event files
+/// in, one directory scan per 50 ms poll.
+struct Spool<'a> {
+    fs: &'a SharedFs,
+    ctx: &'a BackendContext<'a>,
+    start: Instant,
+    /// When a scan last found something to report.
+    last_report: Instant,
+    /// Whether the first scan ran (every later one waits a poll first).
+    scanned: bool,
+    /// Registered worker names and their slots, in order of first sighting.
+    slots: BTreeMap<String, usize>,
+    /// Event files already read.
+    streams: HashSet<PathBuf>,
+    /// Leases whose complete event stream was reported.
+    done: HashSet<usize>,
+    /// When each claim file was first seen in `leases/claimed/`. A
+    /// claim's age runs from here, not from its mtime: the claiming
+    /// rename keeps the mtime the lease file got when it was posted,
+    /// and another host's clock may disagree with this one's.
+    claims: HashMap<PathBuf, Instant>,
+    /// Cumulative `(leases, cells)` already folded in, per worker.
+    stats: BTreeMap<String, (u64, u64)>,
+}
+
+impl Spool<'_> {
+    fn dir(&self, sub: &str) -> PathBuf {
+        self.fs.spool.join(sub)
+    }
+
+    /// Fold the workers' cumulative `stats/{name}.json` files into
+    /// per-worker telemetry counters, counting only the delta since
+    /// the previous harvest (the files are cumulative; counters are
+    /// monotonic sums).
+    fn harvest_worker_stats(&mut self) {
+        for (path, name) in spool_files(&self.dir("stats"), "json") {
+            let Some(v) = std::fs::read_to_string(&path)
+                .ok()
+                .and_then(|s| serde::json::parse(&s).ok())
+            else {
+                continue; // torn or vanished file; next poll re-reads
+            };
+            let leases = v.get("leases").and_then(Value::as_u64).unwrap_or(0);
+            let cells = v.get("cells").and_then(Value::as_u64).unwrap_or(0);
+            let last = self.stats.entry(name.clone()).or_insert((0, 0));
+            let telemetry = self.ctx.telemetry;
+            if leases > last.0 {
+                telemetry.count(&format!("spool_leases_{name}"), leases - last.0);
             }
-        })();
-        match &result {
-            Ok(()) => self.stop("done"),
-            Err(_) => self.stop("abort"),
+            if cells > last.1 {
+                telemetry.count(&format!("spool_cells_{name}"), cells - last.1);
+            }
+            *last = (leases.max(last.0), cells.max(last.1));
         }
-        if result.is_ok() {
-            // Grace pass: a worker writes its stats file just *after*
-            // publishing the event stream that drained the queue, so
-            // give the last cumulative writes a moment to land before
-            // the final fold into the counters.
-            let total = leases.completed_count() as u64;
-            let grace = Instant::now();
-            loop {
-                self.harvest_worker_stats(ctx.telemetry, &mut worker_stats);
-                let harvested: u64 = worker_stats.values().map(|(l, _)| *l).sum();
-                if harvested >= total || grace.elapsed() > Duration::from_secs(2) {
+    }
+
+    /// Report one attempt's published event stream: its events, and
+    /// the lease lost unless the stream ends in the lease's `LeaseDone`
+    /// (what the cache already holds of a failed attempt makes the
+    /// retry cheap). Returns whether the attempt completed.
+    fn read_stream(
+        path: &Path,
+        lease_id: usize,
+        out: &mut Vec<Report>,
+    ) -> Result<bool, EngineError> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| EngineError::io(format!("reading event stream {}", path.display()), e))?;
+        let (mut why, mut kind) = ("attempt ended without lease_done".to_string(), None);
+        for line in text.lines().filter(|l| !l.trim().is_empty()) {
+            match decode_event(line) {
+                Ok(CampaignEvent::Error { message, kind: k }) => {
+                    (why, kind) = (message, Some(k.unwrap_or_else(|| "unknown".into())));
                     break;
                 }
-                std::thread::sleep(POLL);
+                Ok(event) => {
+                    let done = matches!(event, CampaignEvent::LeaseDone { lease_id: id, .. } if id == lease_id);
+                    out.push(Report::Event(0, event));
+                    if done {
+                        return Ok(true);
+                    }
+                }
+                Err(e) => {
+                    why = e;
+                    break;
+                }
             }
         }
-        result?;
-        deliver(
-            COORDINATOR_SOURCE,
-            CampaignEvent::Done {
-                hits: 0,
-                misses: 0,
-                wall_s: start.elapsed().as_secs_f64(),
-            },
-        )
+        out.push(Report::Lost(Lost {
+            who: format!("spool lease {lease_id}"),
+            slot: None,
+            leases: vec![lease_id],
+            why,
+            kind,
+        }));
+        Ok(false)
+    }
+}
+
+impl Transport for Spool<'_> {
+    fn room(&self) -> usize {
+        usize::MAX
+    }
+
+    fn grant(&mut self, lease: WorkLease, attempt: usize) -> Result<(), EngineError> {
+        let name = format!("{}.json", lease_file_name(lease.lease_id, attempt));
+        write_atomic(&self.dir("leases/open").join(name), &encode_lease(&lease))
+    }
+
+    fn wait(&mut self, out: &mut Vec<Report>) -> Result<(), EngineError> {
+        if self.scanned {
+            std::thread::sleep(POLL);
+        }
+        self.scanned = true;
+        // New worker registrations → one Hello per worker, slot
+        // indices in registration-name order of first sighting.
+        for (reg, name) in spool_files(&self.dir("workers"), "json") {
+            if self.slots.contains_key(&name) {
+                continue;
+            }
+            let jobs = std::fs::read_to_string(&reg)
+                .ok()
+                .and_then(|s| serde::json::parse(&s).ok())
+                .and_then(|v| v.get("jobs").and_then(Value::as_u64))
+                .map(|j| j as usize);
+            let slot = self.slots.len();
+            self.slots.insert(name, slot);
+            let hello = CampaignEvent::Hello {
+                shard: slot,
+                shard_count: 0,
+                cells: 0,
+                references: 0,
+                version: Some(2),
+                jobs,
+            };
+            out.push(Report::Event(slot, hello));
+        }
+        // Completed (or failed) attempt streams.
+        for (path, stem) in spool_files(&self.dir("events"), "jsonl") {
+            let Some((lease_id, _attempt)) = parse_lease_stem(&stem) else {
+                continue;
+            };
+            if !self.streams.insert(path.clone()) {
+                continue;
+            }
+            if self.done.contains(&lease_id) {
+                continue; // duplicate attempt (reclaimed slow worker)
+            }
+            if Self::read_stream(&path, lease_id, out)? {
+                self.done.insert(lease_id);
+            }
+        }
+        // Stale claims: a claim whose event stream never appeared
+        // within the lease timeout is a dead worker.
+        for (claim, stem) in spool_files(&self.dir("leases/claimed"), "json") {
+            let Some((lease_id, _)) = parse_lease_stem(&stem) else {
+                continue;
+            };
+            if self.done.contains(&lease_id) {
+                continue;
+            }
+            let seen = *self
+                .claims
+                .entry(claim.clone())
+                .or_insert_with(Instant::now);
+            // Removing the claim is the reclaim lock: only one
+            // coordinator pass can win the remove.
+            if seen.elapsed() > self.fs.lease_timeout && std::fs::remove_file(&claim).is_ok() {
+                self.ctx.telemetry.count("spool_reclaims", 1);
+                out.push(Report::Lost(Lost {
+                    who: format!("spool lease {lease_id}"),
+                    slot: None,
+                    leases: vec![lease_id],
+                    why: "worker lost; claim went stale".into(),
+                    kind: None,
+                }));
+            }
+        }
+        self.harvest_worker_stats();
+        // A remote worker can vanish without a trace, so silence is
+        // bounded: no registration within the worker timeout, or no
+        // report at all for the lease and worker timeouts combined.
+        if !out.is_empty() {
+            self.last_report = Instant::now();
+        } else if self.slots.is_empty() && self.start.elapsed() > self.fs.worker_timeout {
+            return Err(EngineError::worker(
+                None,
+                format!(
+                    "no spool worker registered in {} within {:.0?} — \
+                     launch `sweep-worker --spool` on a host sharing the filesystem",
+                    self.fs.spool.display(),
+                    self.fs.worker_timeout
+                ),
+            ));
+        } else if self.last_report.elapsed() > self.fs.lease_timeout + self.fs.worker_timeout {
+            return Err(EngineError::worker(
+                None,
+                format!(
+                    "spool campaign stalled: no lease progress for {:.0?} \
+                     ({} of {} leases completed)",
+                    self.fs.lease_timeout + self.fs.worker_timeout,
+                    self.done.len(),
+                    self.ctx.plan.leases().len()
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    fn end(&mut self, drained: bool, out: &mut Vec<Report>) {
+        let verdict = if drained { "done" } else { "abort" };
+        let _ = write_atomic(&self.dir("stop"), verdict);
+        if !drained {
+            return;
+        }
+        // Grace pass: a worker writes its stats file just *after*
+        // publishing the event stream that drained the queue, so give
+        // the last cumulative writes a moment to land before the final
+        // fold into the counters.
+        let total = self.done.len() as u64;
+        let grace = Instant::now();
+        loop {
+            self.harvest_worker_stats();
+            let harvested: u64 = self.stats.values().map(|(l, _)| *l).sum();
+            if harvested >= total || grace.elapsed() > Duration::from_secs(2) {
+                break;
+            }
+            std::thread::sleep(POLL);
+        }
+        let wall_s = self.start.elapsed().as_secs_f64();
+        let done = CampaignEvent::Done {
+            hits: 0,
+            misses: 0,
+            wall_s,
+        };
+        out.push(Report::Event(COORDINATOR_SOURCE, done));
     }
 }
 
@@ -583,22 +588,13 @@ impl SpoolWorker {
         let mut spec: SweepSpec = serde::json::from_str(&spec_text)
             .map_err(|e| EngineError::spec(format!("bad spool spec.json: {e}")))?;
         spec.validate()?;
-        let meta = std::fs::read_to_string(self.spool.join("meta.json"))
+        let meta_cache = std::fs::read_to_string(self.spool.join("meta.json"))
             .ok()
-            .and_then(|s| serde::json::parse(&s).ok());
-        let cache = if self.no_cache {
-            crate::cache::ResultCache::in_memory()
-        } else if let Some(dir) = &self.cache_dir {
-            crate::cache::ResultCache::on_disk(dir)
-        } else {
-            match meta
-                .as_ref()
-                .and_then(|m| m.get("cache"))
-                .and_then(Value::as_str)
-            {
-                Some(dir) => crate::cache::ResultCache::on_disk(dir),
-                None => crate::cache::ResultCache::in_memory(),
-            }
+            .and_then(|s| serde::json::parse(&s).ok())
+            .and_then(|m| Some(PathBuf::from(m.get("cache")?.as_str()?)));
+        let cache = match self.cache_dir.clone().or(meta_cache) {
+            Some(dir) if !self.no_cache => crate::cache::ResultCache::on_disk(dir),
+            _ => crate::cache::ResultCache::in_memory(),
         };
         // This host's thread budget (the coordinator's spec `jobs` is
         // sized for the coordinator's machine, not this one).
@@ -619,72 +615,31 @@ impl SpoolWorker {
             plan: &plan,
         };
         let executor = LeaseExecutor::new(&ctx);
-        let registration = Value::obj([
-            ("name", serde::Serialize::serialize(&self.name)),
-            ("jobs", serde::Serialize::serialize(&jobs)),
-            (
-                "pid",
-                serde::Serialize::serialize(&(std::process::id() as u64)),
-            ),
-        ]);
-        let mut registration_text = String::new();
-        serde::json::write_value(&registration, &mut registration_text);
-        write_atomic(
-            &self
-                .spool
-                .join("workers")
-                .join(format!("{}.json", self.name)),
-            &registration_text,
+        let pid = std::process::id() as u64;
+        write_json(
+            &self.spool.join(format!("workers/{}.json", self.name)),
+            [
+                ("name", serde::Serialize::serialize(&self.name)),
+                ("jobs", serde::Serialize::serialize(&jobs)),
+                ("pid", serde::Serialize::serialize(&pid)),
+            ],
         )?;
         let source = SpoolSource {
             worker: &self,
             closed: AtomicBool::new(false),
-            done_leases: AtomicUsize::new(0),
-            done_cells: AtomicUsize::new(0),
-            stats_lock: Mutex::new(()),
+            done: Mutex::new(SpoolSummary {
+                leases: 0,
+                cells: 0,
+            }),
         };
         drain(&source, &executor)?;
-        Ok(SpoolSummary {
-            leases: source.done_leases.into_inner(),
-            cells: source.done_cells.into_inner(),
-        })
-    }
-
-    /// Publish this worker's cumulative progress to
-    /// `stats/{name}.json`. The counters are re-read under the lock so
-    /// concurrent completions always publish monotonically
-    /// non-decreasing totals; failures are ignored (stats are
-    /// observability, never correctness).
-    fn publish_stats(&self, done_leases: &AtomicUsize, done_cells: &AtomicUsize, lock: &Mutex<()>) {
-        let _guard = lock.lock().expect("stats lock");
-        let payload = Value::obj([
-            ("name", serde::Serialize::serialize(&self.name)),
-            (
-                "leases",
-                serde::Serialize::serialize(&(done_leases.load(Ordering::Relaxed) as u64)),
-            ),
-            (
-                "cells",
-                serde::Serialize::serialize(&(done_cells.load(Ordering::Relaxed) as u64)),
-            ),
-        ]);
-        let mut text = String::new();
-        serde::json::write_value(&payload, &mut text);
-        let stats_dir = self.spool.join("stats");
-        let _ = std::fs::create_dir_all(&stats_dir);
-        let _ = write_atomic(&stats_dir.join(format!("{}.json", self.name)), &text);
+        Ok(source.done.into_inner().expect("worker totals"))
     }
 
     /// Claim the first open lease by renaming it into `claimed/`; the
     /// rename race picks exactly one winner per file.
     fn claim_next(&self) -> Option<(WorkLease, String)> {
-        for open in sorted_dir(&self.spool.join("leases/open")) {
-            if open.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            let Some(stem) = open.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
+        for (open, stem) in spool_files(&self.spool.join("leases/open"), "json") {
             let claimed = self
                 .spool
                 .join("leases/claimed")
@@ -696,7 +651,7 @@ impl SpoolWorker {
                 continue;
             };
             match decode_lease(&text) {
-                Ok(lease) => return Some((lease, stem.to_string())),
+                Ok(lease) => return Some((lease, stem)),
                 Err(_) => continue, // torn file; the coordinator re-queues it
             }
         }
@@ -729,9 +684,9 @@ impl std::borrow::Borrow<WorkLease> for SpoolClaim {
 struct SpoolSource<'w> {
     worker: &'w SpoolWorker,
     closed: AtomicBool,
-    done_leases: AtomicUsize,
-    done_cells: AtomicUsize,
-    stats_lock: Mutex<()>,
+    /// Attempts completed so far; held while publishing them, so the
+    /// stats file only ever grows.
+    done: Mutex<SpoolSummary>,
 }
 
 impl LeaseSource for SpoolSource<'_> {
@@ -798,11 +753,20 @@ impl LeaseSource for SpoolSource<'_> {
                 .join(format!("{}.json", claim.stem)),
         );
         result?;
-        self.done_leases.fetch_add(1, Ordering::Relaxed);
-        self.done_cells
-            .fetch_add(claim.lease.cells.len(), Ordering::Relaxed);
-        self.worker
-            .publish_stats(&self.done_leases, &self.done_cells, &self.stats_lock);
+        // Publish the cumulative totals to `stats/{name}.json`; a failed
+        // write is ignored (stats are observability, never correctness).
+        let mut done = self.done.lock().expect("worker totals");
+        done.leases += 1;
+        done.cells += claim.lease.cells.len();
+        let worker = self.worker;
+        let _ = write_json(
+            &spool.join(format!("stats/{}.json", worker.name)),
+            [
+                ("name", serde::Serialize::serialize(&worker.name)),
+                ("leases", serde::Serialize::serialize(&(done.leases as u64))),
+                ("cells", serde::Serialize::serialize(&(done.cells as u64))),
+            ],
+        );
         Ok(())
     }
 

@@ -29,7 +29,6 @@ const EXPECTED: &[&str] = &[
     "InProcess",
     "JsonlSink",
     "LeaseExecutor",
-    "LeasePoll",
     "LeaseQueue",
     "MetricsReport",
     "MetricsSnapshot",
@@ -132,11 +131,11 @@ fn snapshot_names_actually_resolve() {
         parse_toml, summarize, BackendContext, CacheGcStats, CacheTier, Campaign, CampaignBuilder,
         CampaignEvent, CampaignObserver, CampaignPlan, CancelToken, CsvSink, DagInstance, DagSpec,
         Deliver, DryRun, DryRunInstance, EngineError, EstimatorRegistry, EstimatorSpec,
-        ExecBackend, FnObserver, InProcess, JsonlSink, LeaseExecutor, LeasePoll, LeaseQueue,
-        MetricsReport, MetricsSnapshot, MultiProcess, ProgressMode, ProgressReporter, Reorderer,
-        ResultCache, ResultSink, ResumeEstimatorReport, ResumeReport, ScenarioModel, ScenarioSpec,
-        SharedFs, SpanGuard, SpanStat, SpoolSummary, SpoolWorker, StableHasher, SummaryRow,
-        SweepOutcome, SweepRow, SweepSpec, Telemetry, TelemetrySink, UnsupportedScenario, VecSink,
-        WireObserver, WorkLease,
+        ExecBackend, FnObserver, InProcess, JsonlSink, LeaseExecutor, LeaseQueue, MetricsReport,
+        MetricsSnapshot, MultiProcess, ProgressMode, ProgressReporter, Reorderer, ResultCache,
+        ResultSink, ResumeEstimatorReport, ResumeReport, ScenarioModel, ScenarioSpec, SharedFs,
+        SpanGuard, SpanStat, SpoolSummary, SpoolWorker, StableHasher, SummaryRow, SweepOutcome,
+        SweepRow, SweepSpec, Telemetry, TelemetrySink, UnsupportedScenario, VecSink, WireObserver,
+        WorkLease,
     };
 }

@@ -12,9 +12,10 @@ use common::{capture_lines, merge_csv, shard_by_lease, SharedBuf};
 use std::io::Cursor;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 use stochdag_engine::{
     decode_event, encode_event, merge_event_streams, Campaign, CampaignEvent, CsvSink,
-    MultiProcess, ProgressReporter, ResultCache, ResultSink, SweepSpec,
+    MultiProcess, ProgressMode, ProgressReporter, ResultCache, ResultSink, SweepSpec,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -198,6 +199,61 @@ fn coordinator_rejects_broken_streams() {
         "{err:?}"
     );
     assert!(err.to_string().contains("plan"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replays_drop_a_requeued_attempts_duplicate_events() {
+    let spec = campaign();
+    let dir = scratch("dup");
+    let good = campaign_lines(&spec, &dir.join("cache"));
+
+    // What a captured run looks like when a lease was re-queued after
+    // its first attempt already delivered everything: the attempt's
+    // lease_start, reference, cell and lease_done events come twice.
+    let is = |line: &String, f: fn(&CampaignEvent) -> bool| f(&decode_event(line).unwrap());
+    let start = good
+        .iter()
+        .position(|l| is(l, |e| matches!(e, CampaignEvent::LeaseStart { .. })))
+        .unwrap();
+    let end = start
+        + good[start..]
+            .iter()
+            .position(|l| is(l, |e| matches!(e, CampaignEvent::LeaseDone { .. })))
+            .unwrap();
+    let attempt = good[start..=end].to_vec();
+    assert!(attempt
+        .iter()
+        .any(|l| is(l, |e| matches!(e, CampaignEvent::Reference { .. }))));
+    let mut spliced = good.clone();
+    spliced.splice(end + 1..end + 1, attempt);
+
+    let replay = |lines: &[String]| {
+        let out = SharedBuf::default();
+        let mut progress = ProgressReporter::new(ProgressMode::Plain, Box::new(out.clone()))
+            .with_plain_interval(Duration::ZERO);
+        let mut csv = CsvSink::new(Vec::new());
+        {
+            let mut sinks: Vec<&mut dyn ResultSink> = vec![&mut csv];
+            let reader = Cursor::new((lines.join("\n") + "\n").into_bytes());
+            merge_event_streams(vec![reader], &mut sinks, &mut progress).unwrap();
+        }
+        (csv.into_inner(), out.text())
+    };
+    let (clean_csv, _) = replay(&good);
+    let (spliced_csv, progress) = replay(&spliced);
+    assert_eq!(spliced_csv, clean_csv, "duplicates leave the CSV unchanged");
+    let counted: Vec<&str> = progress
+        .lines()
+        .filter_map(|l| l.split("cells ").nth(1)?.split(' ').next())
+        .collect();
+    assert_eq!(counted.last(), Some(&"18/18"), "{progress}");
+    assert!(
+        counted
+            .iter()
+            .all(|c| c.split('/').next().unwrap().parse::<usize>().unwrap() <= 18),
+        "each cell counts once: {progress}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

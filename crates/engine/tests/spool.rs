@@ -14,6 +14,7 @@ use std::time::Duration;
 use common::SharedBuf;
 use stochdag_engine::{
     Campaign, CampaignEvent, CsvSink, FnObserver, ResultCache, SharedFs, SpoolWorker, SweepSpec,
+    Telemetry,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -189,6 +190,59 @@ fn stale_claim_is_reclaimed_and_the_campaign_completes() {
 }
 
 #[test]
+fn a_lease_claimed_late_is_not_reclaimed_while_its_worker_runs() {
+    let dir = scratch("late");
+    let spool = dir.join("spool");
+    let mut spec = spec("late");
+    // Leases that span several 50 ms polls in `claimed/` yet finish
+    // well inside the 1 s lease timeout, even in a debug build.
+    spec.reference_trials = 100_000;
+
+    // The only worker joins 2.5 s after the coordinator posted the
+    // leases, so every lease file it claims is older than the 1 s
+    // lease timeout; its claims are live all the same.
+    let worker = {
+        let spool = spool.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(2500));
+            SpoolWorker::new(&spool)
+                .name("late")
+                .jobs(1)
+                .max_wait(Duration::from_secs(30))
+                .run()
+        })
+    };
+    let telemetry = Telemetry::enabled();
+    let outcome = Campaign::builder(spec)
+        .cache(Arc::new(ResultCache::on_disk(dir.join("cache"))))
+        .backend(SharedFs::new(&spool).lease_timeout(Duration::from_secs(1)))
+        .telemetry(telemetry.clone())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(outcome.cells, 8);
+    let summary = worker.join().unwrap().unwrap();
+    assert_eq!(
+        (summary.leases, summary.cells),
+        (4, 8),
+        "each lease ran once"
+    );
+
+    let counters = telemetry.snapshot().counters;
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!(count("spool_reclaims"), 0, "{counters:?}");
+    assert_eq!(count("worker_retries"), 0, "{counters:?}");
+    let spool_cells: u64 = counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("spool_cells_"))
+        .map(|(_, n)| n)
+        .sum();
+    assert_eq!(spool_cells, outcome.cells as u64, "{counters:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_registration_in_flight_is_not_a_worker() {
     let dir = scratch("torn");
     let spool = dir.join("spool");
@@ -243,6 +297,32 @@ fn a_used_spool_directory_refuses_a_second_campaign() {
     assert!(
         err.to_string().contains("already hosts a campaign"),
         "{err}"
+    );
+    assert!(
+        !spool.join("stop").exists(),
+        "the refusal must not stop the campaign the spool hosts"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_spool_no_worker_joins_fails_after_the_worker_timeout_and_stops() {
+    let dir = scratch("nobody");
+    let spool = dir.join("spool");
+    let err = Campaign::builder(spec("nobody"))
+        .backend(SharedFs::new(&spool).worker_timeout(Duration::from_secs(1)))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap_err();
+    assert!(
+        err.to_string().contains("no spool worker registered"),
+        "{err}"
+    );
+    // A worker launched late finds the campaign already aborted.
+    assert_eq!(
+        std::fs::read_to_string(spool.join("stop")).unwrap(),
+        "abort"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
